@@ -96,19 +96,10 @@ struct ArchConfig
     bool texEnabled = true; ///< build the per-core texture units
 
     //
-    // Host simulation backend. The serial and parallel backends are
-    // bit-identical to *each other* — same cycles(), threadInstrs(), and
-    // functional results (see core/tick_engine.h); both share the
-    // end-of-cycle cross-core commit phase of Processor::tick.
-    //
-    bool parallelTick = false; ///< tick cores on a persistent thread pool
-    uint32_t tickThreads = 0;  ///< pool size; 0 = min(numCores, host CPUs)
-
-    //
     // Observability. When nonzero, the Processor snapshots every device
     // StatGroup each `sampleInterval` cycles (at the cycle-boundary
-    // commit point, so the series is bit-identical across tick backends)
-    // and delta-encodes the increments into a TimeSeries (common/stats.h).
+    // commit point, after every cross-core effect has landed) and
+    // delta-encodes the increments into a TimeSeries (common/stats.h).
     // 0 disables sampling; the disabled path costs one branch per cycle.
     //
     uint64_t sampleInterval = 0; ///< cycles between counter snapshots

@@ -24,14 +24,7 @@ Processor::Processor(const ArchConfig& config)
         cores_.push_back(std::make_unique<Core>(config, c, ram_, this));
     wire();
     pendingArrivals_.resize(config.numCores);
-    std::vector<Core*> core_ptrs;
-    core_ptrs.reserve(cores_.size());
-    for (auto& core : cores_)
-        core_ptrs.push_back(core.get());
-    tickEngine_ = makeTickEngine(config_, std::move(core_ptrs));
 }
-
-Processor::~Processor() = default;
 
 namespace {
 
@@ -98,9 +91,8 @@ Processor::wire()
             mem::Cache& l2 = *l2s_[cl];
 
             // L2 responses route back to the owning L1 by lane. L1 request
-            // sides go through staging ports (drained in core order) so
-            // the parallel tick engine never touches the shared L2 from a
-            // worker thread.
+            // sides go through staging ports, drained in core order at the
+            // cycle boundary.
             std::vector<mem::Cache*> owners(2 * cores_here, nullptr);
             for (uint32_t i = 0; i < cores_here; ++i) {
                 Core& core = *cores_[first_core + i];
@@ -184,18 +176,16 @@ Processor::tick()
     for (auto& l2 : l2s_)
         l2->tick(cycles_);
     // Core phase: cores only touch core-local state plus their staging
-    // buffers, so the engine may run them concurrently.
-    tickEngine_->tick(cycles_);
+    // buffers; cross-core effects land in commitCrossCore.
+    for (auto& core : cores_)
+        core->tick(cycles_);
     commitCrossCore();
     // Fault injection lands here, after the commit phase and before
-    // sampling: the one point in a cycle where both tick backends have
-    // identical state, so an injected bit flip is bit-identical under
-    // serial and parallel tick (src/faults/fault.h).
+    // sampling, at the cycle boundary (src/faults/fault.h).
     if (faultHook_)
         faultHook_(*this, cycles_);
     // Sampling happens after the commit phase: every cross-core effect of
-    // this cycle has landed, so both tick backends observe identical
-    // counters here (the sampling half of the determinism contract).
+    // this cycle has landed.
     if (sampler_.due(cycles_)) {
         StatGroup snapshot;
         collectStats(snapshot);
@@ -207,11 +197,11 @@ void
 Processor::commitCrossCore()
 {
     // Staged L1 memory requests enter the shared fabric in core order
-    // (ports were created in core order), mirroring the serial tick order.
+    // (ports were created in core order).
     for (auto& port : stagedPorts_)
         port->drain();
     // Global barrier arrivals, also in core order. Releases take effect
-    // next cycle for every wavefront, whichever thread simulated it.
+    // next cycle for every wavefront.
     for (CoreId c = 0; c < pendingArrivals_.size(); ++c) {
         for (const PendingArrival& a : pendingArrivals_[c]) {
             auto releases = globalBarriers_.arrive(a.id, a.count, c, a.wid);

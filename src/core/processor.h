@@ -5,6 +5,12 @@
  * memory (paper §4.1: "a scalable architecture that allows clustering of
  * multiple cores with optional L2 and L3 caches"). Also hosts the global
  * (inter-core) barrier table.
+ *
+ * Timing rule: cores tick in index order, and every cross-core effect a
+ * core produces in its tick (an L1 request into a shared L2/L3 lane or
+ * board memory, a global-barrier arrival) is buffered and committed at
+ * the cycle boundary, in core order (commitCrossCore). A core therefore
+ * never sees a sibling's same-cycle effect, whatever its index.
  */
 
 #pragma once
@@ -17,7 +23,6 @@
 #include "core/barrier.h"
 #include "core/config.h"
 #include "core/core.h"
-#include "core/tick_engine.h"
 #include "mem/memsim.h"
 #include "mem/ram.h"
 #include "mem/router.h"
@@ -30,10 +35,8 @@ class Processor : public BarrierHub
 {
   public:
     /** Build and wire the whole device described by @p config: cores,
-     *  optional L2/L3 clusters, board memory, and the tick backend. */
+     *  optional L2/L3 clusters, and board memory. */
     explicit Processor(const ArchConfig& config);
-    /** Tears down the tick engine before the cores it references. */
-    ~Processor() override;
 
     mem::Ram& ram() { return ram_; }                     ///< backing RAM
     const ArchConfig& config() const { return config_; } ///< the machine
@@ -78,9 +81,6 @@ class Processor : public BarrierHub
     /** The device L3 (nullptr when disabled). */
     mem::Cache* l3() { return l3_.get(); }
 
-    /** The active core tick backend (serial or parallel). */
-    const TickEngine& tickEngine() const { return *tickEngine_; }
-
     /**
      * Flatten every device StatGroup into @p flat under "<group>.<key>"
      * names, summed across cores, in fixed hierarchy order (core-private
@@ -95,24 +95,23 @@ class Processor : public BarrierHub
     /**
      * The per-interval counter time series recorded by this run (empty
      * unless ArchConfig::sampleInterval is nonzero). Samples are taken
-     * after the cross-core commit phase of tick(), i.e. at the same
-     * deterministic cycle boundary the serial and parallel backends
-     * agree on, plus one final partial window when run() goes idle.
+     * after the cross-core commit phase of tick(), i.e. at the cycle
+     * boundary where every cross-core effect of the cycle has landed,
+     * plus one final partial window when run() goes idle.
      */
     const TimeSeries& timeSeries() const { return sampler_.series(); }
 
-    // BarrierHub. Safe to call from any tick worker: the arrival is
-    // buffered per core and applied in core order after the tick phase.
+    // BarrierHub. The arrival is buffered per core and applied in core
+    // order at the cycle boundary (commitCrossCore).
     void globalArrive(uint32_t id, uint32_t count, CoreId core,
                       WarpId wid) override;
 
     /**
-     * Install @p hook to be called once per tick() on the main thread,
-     * after the cross-core commit phase — the deterministic cycle
-     * boundary both tick backends agree on, so anything the hook mutates
-     * (registers, memory) lands bit-identically under serial and
-     * parallel tick. This is the fault-injection attachment point
-     * (src/faults/fault.h). An empty function uninstalls.
+     * Install @p hook to be called once per tick(), after the
+     * cross-core commit phase, so anything the hook mutates (registers,
+     * memory) lands at a cycle boundary where no core is mid-tick. This
+     * is the fault-injection attachment point (src/faults/fault.h). An
+     * empty function uninstalls.
      */
     void setFaultHook(std::function<void(Processor&, Cycle)> hook)
     {
@@ -134,7 +133,8 @@ class Processor : public BarrierHub
   private:
     void wire();
 
-    /** Wrap @p down in a staging port drained serially in core order. */
+    /** Wrap @p down in a staging port drained in core order at the
+     *  cycle boundary. */
     mem::MemSink* staged(mem::MemSink* down, size_t depth);
 
     /** Connect an L1's memory side to lane @p lane of a shared downstream
@@ -155,9 +155,8 @@ class Processor : public BarrierHub
     std::vector<std::unique_ptr<mem::MemSink>> adapters_;
     /** L1 memory-side staging ports, in drain (core) order. */
     std::vector<std::unique_ptr<mem::StagedMemPort>> stagedPorts_;
-    std::unique_ptr<TickEngine> tickEngine_;
 
-    /** A global-barrier arrival buffered during the tick phase. */
+    /** A global-barrier arrival buffered during the core phase. */
     struct PendingArrival
     {
         uint32_t id;

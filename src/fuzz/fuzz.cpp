@@ -1,16 +1,16 @@
 /**
  * @file
- * Seeded guest-program generator and serial-vs-parallel differential
- * oracle (see fuzz.h). The generator builds structurally well-formed
- * programs by construction: every split has a matching join on all
- * paths, loops have uniform bounded trip counts, wspawn/bar stay inside
- * the runtime's spawn_tasks, and every memory access is masked into the
- * harness-provided scratch buffer. Task bodies never execute `bar` —
- * spawn_tasks calls them under divergence (inside split/join), where a
- * barrier would deadlock.
+ * Seeded guest-program generator and same-program, different-timing
+ * differential oracle (see fuzz.h). The generator builds structurally
+ * well-formed programs by construction: every split has a matching join
+ * on all paths, loops have uniform bounded trip counts, wspawn/bar stay
+ * inside the runtime's spawn_tasks, and every memory access is masked
+ * into the harness-provided scratch buffer. Task bodies never execute
+ * `bar` — spawn_tasks calls them under divergence (inside split/join),
+ * where a barrier would deadlock.
  *
- * Data-race freedom (the precondition of the backends' bit-identity
- * contract, see fuzz.h): loads are masked into the read-only lower half
+ * Data-race freedom (the precondition of the timing-independence
+ * witness, see fuzz.h): loads are masked into the read-only lower half
  * of the scratch buffer, and every store goes through a5, which the
  * task prologue points at this task's own slot — upper half, one word
  * per (spawn round, task id) pair.
@@ -516,6 +516,17 @@ fuzzConfig()
     return c;
 }
 
+core::ArchConfig
+timingVariant(const core::ArchConfig& base)
+{
+    core::ArchConfig c = base;
+    c.mem.latency = 400;
+    c.dcacheBanks = 1;
+    c.lsuDepth = 1;
+    c.ibufferDepth = 1;
+    return c;
+}
+
 namespace {
 
 struct RunOutcome
@@ -536,11 +547,8 @@ runDifferential(uint64_t seed, const core::ArchConfig& base,
     res.source = k.source;
     const std::string unit = "<fuzz:" + std::to_string(seed) + ">";
 
-    auto runOne = [&](bool parallel, RunOutcome* out) -> bool {
-        const char* backend = parallel ? "parallel" : "serial";
-        core::ArchConfig cfg = base;
-        cfg.parallelTick = parallel;
-        cfg.tickThreads = parallel ? 2 : 0;
+    auto runOne = [&](const core::ArchConfig& cfg, const char* machine,
+                      RunOutcome* out) -> bool {
         try {
             runtime::Device dev(cfg);
             dev.uploadKernelObject(k.source, unit);
@@ -565,8 +573,8 @@ runDifferential(uint64_t seed, const core::ArchConfig& base,
             dev.setKernelArg(args, sizeof(args));
             dev.start();
             if (!dev.readyWait(50000000ull)) {
-                res.detail = std::string("timeout on the ") + backend +
-                             " backend (50M cycles)";
+                res.detail = std::string("timeout on the ") + machine +
+                             " machine (50M cycles)";
                 return false;
             }
             out->cycles = dev.cycles();
@@ -576,30 +584,32 @@ runDifferential(uint64_t seed, const core::ArchConfig& base,
                             k.scratchWords * 4);
             return true;
         } catch (const FatalError& e) {
-            res.detail = std::string("fatal error on the ") + backend +
-                         " backend: " + e.what();
+            res.detail = std::string("fatal error on the ") + machine +
+                         " machine: " + e.what();
             return false;
         }
     };
 
-    RunOutcome serial, par;
-    if (!runOne(false, &serial) || !runOne(true, &par))
+    RunOutcome baseRun, variantRun;
+    if (!runOne(base, "base", &baseRun) ||
+        !runOne(timingVariant(base), "timing-variant", &variantRun))
         return res;
 
-    res.cycles = serial.cycles;
-    res.threadInstrs = serial.threadInstrs;
+    res.cycles = baseRun.cycles;
+    res.variantCycles = variantRun.cycles;
+    res.threadInstrs = baseRun.threadInstrs;
     std::ostringstream os;
-    if (serial.cycles != par.cycles)
-        os << "cycles diverge: serial " << serial.cycles << " vs parallel "
-           << par.cycles << "\n";
-    if (serial.threadInstrs != par.threadInstrs)
-        os << "thread instrs diverge: serial " << serial.threadInstrs
-           << " vs parallel " << par.threadInstrs << "\n";
+    if (baseRun.cycles == variantRun.cycles)
+        os << "timing not perturbed: base and variant both took "
+           << baseRun.cycles << " cycles\n";
+    if (baseRun.threadInstrs != variantRun.threadInstrs)
+        os << "thread instrs diverge: base " << baseRun.threadInstrs
+           << " vs variant " << variantRun.threadInstrs << "\n";
     for (uint32_t i = 0; i < k.scratchWords; ++i) {
-        if (serial.scratch[i] != par.scratch[i]) {
-            os << "scratch[" << i << "] diverges: serial 0x" << std::hex
-               << serial.scratch[i] << " vs parallel 0x" << par.scratch[i]
-               << std::dec << "\n";
+        if (baseRun.scratch[i] != variantRun.scratch[i]) {
+            os << "scratch[" << i << "] diverges: base 0x" << std::hex
+               << baseRun.scratch[i] << " vs variant 0x"
+               << variantRun.scratch[i] << std::dec << "\n";
             break; // first mismatch is enough to pin the failure
         }
     }

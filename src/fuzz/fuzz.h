@@ -5,10 +5,15 @@
  * bounded loops, in-bounds memory traffic) plus a differential oracle
  * that assembles each program through the full object pipeline
  * (assemble -> VXOB write/read -> load/relocate), verifies it with the
- * static analyzer, and runs it on both host tick backends. Any
- * divergence in cycles, retired thread instructions, or scratch-memory
- * contents between the serial and parallel backends fails the seed —
- * the backends are documented bit-identical (core/tick_engine.h).
+ * static analyzer, and runs it twice: on the base machine and on
+ * timingVariant() of it, which changes memory latency and pipeline
+ * depths but not the ISA. A data-race-free guest must leave the same
+ * scratch memory and retire the same number of thread instructions
+ * whatever the timing, so any divergence fails the seed. So do equal
+ * cycle counts: then the variant did not perturb timing and the
+ * comparison proved nothing. Unlike a second run of the same pipeline,
+ * the variant reorders events inside it, so a hazard bug such as a
+ * missing scoreboard check shows up as a divergence.
  *
  * Everything here is deterministic: the generator draws from Xorshift
  * only, and the guest programs index scratch memory through a
@@ -18,12 +23,10 @@
  * Generated programs are data-race-free across tasks by construction —
  * the lower half of the scratch buffer is read-only to the guest and
  * every store targets the storing task's own private slot in the upper
- * half. That is the scope of the backends' bit-identity contract:
- * cross-core *timing* interactions are staged and committed in core
- * order (core/tick_engine.h), but functional stores land in RAM
- * immediately during the tick phase, so a guest in which two cores race
- * on the same word has no deterministic winner on the parallel backend
- * (exactly like real hardware).
+ * half. That is what makes the witness sound: a guest in which two
+ * tasks race on the same word has a timing-dependent winner (exactly
+ * like real hardware), so its result may legitimately change under the
+ * variant.
  */
 
 #pragma once
@@ -74,8 +77,9 @@ struct FuzzResult
     bool ok = false;
     std::string detail; ///< failure description; empty when ok
     std::string source; ///< the generated program, for reproduction
-    uint64_t cycles = 0;       ///< serial-backend cycle count
-    uint64_t threadInstrs = 0; ///< serial-backend retired thread instrs
+    uint64_t cycles = 0;        ///< base-machine cycle count
+    uint64_t variantCycles = 0; ///< timingVariant() cycle count
+    uint64_t threadInstrs = 0;  ///< base-machine retired thread instrs
 };
 
 /** The small wide machine fuzzing runs on: 2 cores x 2 wavefronts x
@@ -84,11 +88,19 @@ struct FuzzResult
 core::ArchConfig fuzzConfig();
 
 /**
+ * The differential witness's second machine: @p base with a slow board
+ * memory (400 cycles), one D$ bank, and single-entry LSU and
+ * instruction-buffer queues. Same ISA and geometry, different timing.
+ */
+core::ArchConfig timingVariant(const core::ArchConfig& base);
+
+/**
  * Generate the program for @p seed, push it through the object pipeline
  * onto a Device built from @p base, require a clean static-analysis
- * report, then run it to completion on the serial backend and again on
- * the parallel backend (2 tick threads) and compare cycles, retired
- * thread instructions, and the full scratch buffer byte-for-byte.
+ * report, then run it to completion on @p base and again on
+ * timingVariant(@p base). The seed fails when retired thread
+ * instructions or any scratch word differ, or when the cycle counts are
+ * equal (timing was not perturbed).
  */
 FuzzResult runDifferential(uint64_t seed, const core::ArchConfig& base,
                            const GenOptions& opts = {});

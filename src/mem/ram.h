@@ -5,24 +5,16 @@
  * host-side driver copies go through this object; the timing models only
  * carry addresses.
  *
- * Thread safety: the page table is a flat array of atomic page pointers so
- * the parallel tick engine's workers can access memory concurrently, and
- * the scalar load/store paths use relaxed atomic byte/word accesses (plain
- * moves on mainstream hardware). Accesses to distinct addresses are fully
- * race-free; same-address conflicts from different cores in the same cycle
- * are *program-level* races with unspecified ordering — exactly the real
- * device's weakly-coherent memory model — but remain defined behavior
- * here. The bulk block helpers are host-driver paths (device idle) and use
- * plain memcpy.
+ * One Ram belongs to one Processor and is touched only by the thread
+ * simulating it; parallel campaigns and the fabric service give every
+ * run its own Device, so nothing here is shared across host threads.
  */
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <vector>
 
 #include "common/types.h"
@@ -65,58 +57,41 @@ class Ram
     // marks every page it decodes from, any store that lands on a marked
     // page bumps the global code-write epoch, and the decode cache
     // flushes itself whenever the epoch moved (see core/decode_cache.h).
-    // Unmarked pages — the overwhelming store traffic — cost one relaxed
-    // flag load per store.
+    // Unmarked pages — the overwhelming store traffic — cost one flag
+    // load per store.
     //
 
     /** Mark the page containing @p addr as holding decoded code. */
-    void
-    markCodePage(Addr addr)
-    {
-        codePages_[addr >> kPageBits].store(1, std::memory_order_relaxed);
-    }
+    void markCodePage(Addr addr) { codePages_[addr >> kPageBits] = 1; }
 
     /** Monotonic count of stores that hit a marked code page. */
-    uint64_t
-    codeWriteEpoch() const
-    {
-        return codeWriteEpoch_.load(std::memory_order_relaxed);
-    }
+    uint64_t codeWriteEpoch() const { return codeWriteEpoch_; }
 
     /** Zero everything (drop all pages). Not safe during simulation. */
     void
     clear()
     {
-        for (auto& slot : pages_) {
-            delete[] slot.load(std::memory_order_relaxed);
-            slot.store(nullptr, std::memory_order_relaxed);
+        for (uint8_t*& p : pages_) {
+            delete[] p;
+            p = nullptr;
         }
-        for (auto& flag : codePages_)
-            flag.store(0, std::memory_order_relaxed);
-        codeWriteEpoch_.fetch_add(1, std::memory_order_relaxed);
-        numPages_.store(0, std::memory_order_relaxed);
+        std::fill(codePages_.begin(), codePages_.end(), 0);
+        ++codeWriteEpoch_;
+        numPages_ = 0;
     }
 
     /** Number of touched pages (for tests). */
-    size_t numPages() const
-    {
-        return numPages_.load(std::memory_order_relaxed);
-    }
+    size_t numPages() const { return numPages_; }
 
   private:
     /** Get the page backing @p addr, allocating (zeroed) on first touch. */
     uint8_t*
     page(Addr addr)
     {
-        auto& slot = pages_[addr >> kPageBits];
-        if (uint8_t* p = slot.load(std::memory_order_acquire))
-            return p;
-        std::lock_guard<std::mutex> lock(allocMutex_);
-        uint8_t* p = slot.load(std::memory_order_relaxed);
+        uint8_t*& p = pages_[addr >> kPageBits];
         if (!p) {
             p = new uint8_t[kPageSize]();
-            slot.store(p, std::memory_order_release);
-            numPages_.fetch_add(1, std::memory_order_relaxed);
+            ++numPages_;
         }
         return p;
     }
@@ -124,88 +99,35 @@ class Ram
     const uint8_t*
     pageIfPresent(Addr addr) const
     {
-        return pages_[addr >> kPageBits].load(std::memory_order_acquire);
-    }
-
-    //
-    // Relaxed atomic scalar accesses (compile to plain loads/stores on
-    // x86/ARM) keeping simulated-program races defined at the host level.
-    //
-    static uint8_t
-    loadByte(const uint8_t* p)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        return __atomic_load_n(p, __ATOMIC_RELAXED);
-#else
-        return std::atomic_ref<uint8_t>(*const_cast<uint8_t*>(p))
-            .load(std::memory_order_relaxed);
-#endif
-    }
-
-    static void
-    storeByte(uint8_t* p, uint8_t v)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __atomic_store_n(p, v, __ATOMIC_RELAXED);
-#else
-        std::atomic_ref<uint8_t>(*p).store(v, std::memory_order_relaxed);
-#endif
-    }
-
-    /** @p p must be 4-byte aligned. */
-    static uint32_t
-    loadWord(const uint8_t* p)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        return __atomic_load_n(reinterpret_cast<const uint32_t*>(p),
-                               __ATOMIC_RELAXED);
-#else
-        return std::atomic_ref<uint32_t>(
-                   *reinterpret_cast<uint32_t*>(const_cast<uint8_t*>(p)))
-            .load(std::memory_order_relaxed);
-#endif
-    }
-
-    /** @p p must be 4-byte aligned. */
-    static void
-    storeWord(uint8_t* p, uint32_t v)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __atomic_store_n(reinterpret_cast<uint32_t*>(p), v,
-                         __ATOMIC_RELAXED);
-#else
-        std::atomic_ref<uint32_t>(*reinterpret_cast<uint32_t*>(p))
-            .store(v, std::memory_order_relaxed);
-#endif
+        return pages_[addr >> kPageBits];
     }
 
     /** Bump the code-write epoch when @p addr lies on a marked page. */
     void
     noteWrite(Addr addr)
     {
-        if (codePages_[addr >> kPageBits].load(std::memory_order_relaxed))
-            codeWriteEpoch_.fetch_add(1, std::memory_order_relaxed);
+        if (codePages_[addr >> kPageBits])
+            ++codeWriteEpoch_;
     }
 
-    std::vector<std::atomic<uint8_t*>> pages_;
-    std::vector<std::atomic<uint8_t>> codePages_; ///< decoded-from flags
-    std::atomic<uint64_t> codeWriteEpoch_{0};
-    std::mutex allocMutex_;
-    std::atomic<size_t> numPages_{0};
+    std::vector<uint8_t*> pages_;
+    std::vector<uint8_t> codePages_; ///< decoded-from flags
+    uint64_t codeWriteEpoch_ = 0;
+    size_t numPages_ = 0;
 };
 
 inline uint8_t
 Ram::read8(Addr addr) const
 {
     const uint8_t* p = pageIfPresent(addr);
-    return p ? loadByte(p + (addr & (kPageSize - 1))) : 0;
+    return p ? p[addr & (kPageSize - 1)] : 0;
 }
 
 inline void
 Ram::write8(Addr addr, uint8_t value)
 {
     noteWrite(addr);
-    storeByte(page(addr) + (addr & (kPageSize - 1)), value);
+    page(addr)[addr & (kPageSize - 1)] = value;
 }
 
 inline uint16_t
@@ -218,11 +140,12 @@ Ram::read16(Addr addr) const
 inline uint32_t
 Ram::read32(Addr addr) const
 {
-    // Fast path: aligned, so a single atomic word access suffices.
+    // Fast path: aligned, so the word lies within one page.
     if ((addr & 3) == 0) {
+        uint32_t v = 0;
         if (const uint8_t* p = pageIfPresent(addr))
-            return loadWord(p + (addr & (kPageSize - 1)));
-        return 0;
+            std::memcpy(&v, p + (addr & (kPageSize - 1)), 4);
+        return v;
     }
     return static_cast<uint32_t>(read16(addr)) |
            (static_cast<uint32_t>(read16(addr + 2)) << 16);
@@ -240,7 +163,7 @@ Ram::write32(Addr addr, uint32_t value)
 {
     if ((addr & 3) == 0) {
         noteWrite(addr);
-        storeWord(page(addr) + (addr & (kPageSize - 1)), value);
+        std::memcpy(page(addr) + (addr & (kPageSize - 1)), &value, 4);
         return;
     }
     write16(addr, value & 0xFFFF);

@@ -2,22 +2,18 @@
  * @file
  * Producer-local staging for requests into shared memory fabric.
  *
- * Under the parallel tick engine, cores tick concurrently; anything a core
- * pushes into a *shared* component (an L2/L3 lane, the board-memory router)
- * during its tick would race with its siblings and make timing depend on
- * thread scheduling. A StagedMemPort sits between each L1's memory side and
- * the shared downstream sink: pushes land in a buffer owned by the producer
- * (thread-safe without locks), and the Processor drains every buffer in
- * core order in a serial commit phase at the end of the cycle. The serial
- * backend uses the exact same path, so both backends see bit-identical
- * request streams.
+ * A StagedMemPort sits between each L1's memory side and the shared
+ * downstream sink (an L2/L3 lane, the board-memory router). Pushes a
+ * core makes during its tick land in a buffer the core owns, and the
+ * Processor drains every buffer in core order at the end of the cycle
+ * (Processor::commitCrossCore). Cross-core effects thus commit at the
+ * cycle boundary, in core order: no core sees a sibling's same-cycle
+ * request, whatever its index.
  *
- * Timing-model note: relative to the pre-staging simulator, producers
- * observe shared-sink occupancy as of the start of the core phase rather
- * than mid-phase, so under contention a core may stage a request one cycle
- * earlier than it would previously have left the L1. This is a uniform,
- * deterministic refinement shared by both backends (no test pins absolute
- * cycle counts).
+ * Timing-model note: producers observe shared-sink occupancy as of the
+ * start of the core phase rather than mid-phase, so under contention a
+ * core may stage a request one cycle earlier than it would leave an L1
+ * wired straight to the sink. test_golden pins the resulting cycles.
  */
 
 #pragma once
@@ -28,7 +24,7 @@
 
 namespace vortex::mem {
 
-/** A MemSink front that defers pushes to a serial drain() phase. */
+/** A MemSink front that defers pushes to the end-of-cycle drain(). */
 class StagedMemPort final : public MemSink
 {
   public:
@@ -40,10 +36,9 @@ class StagedMemPort final : public MemSink
      */
     StagedMemPort(MemSink* down, size_t depth) : down_(down), depth_(depth) {}
 
-    // MemSink (called from the producer, possibly on a worker thread).
-    // Consulting down_->reqReady() here is safe and deterministic: shared
-    // sinks are only *mutated* in the serial phases, so during the tick
-    // phase every producer reads the same start-of-cycle snapshot. It also
+    // MemSink (called from the producer during its tick). Shared sinks
+    // are only mutated outside the core phase, so every producer reads
+    // the same start-of-cycle snapshot through down_->reqReady(). That
     // keeps downstream back-pressure visible to the producer in the same
     // cycle instead of adding a full staging buffer of slack.
     bool

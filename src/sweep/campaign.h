@@ -3,11 +3,10 @@
  * The campaign engine: executes a SweepSpec's run matrix on a host job
  * pool and emits structured results.
  *
- * Determinism contract (the sweep-level analogue of core/tick_engine.h):
- * every run constructs its own Device, so runs share no simulation state;
- * workers claim runs from an atomic cursor but store each RunRecord at
- * the run's matrix index; and all emission (CSV/JSON/reports) walks the
- * records in matrix order. Campaign output is therefore byte-identical
+ * Determinism contract: every run constructs its own Device, so runs
+ * share no simulation state; workers claim runs from an atomic cursor
+ * but store each RunRecord at the run's matrix index; and all emission
+ * (CSV/JSON/reports) walks the records in matrix order. Campaign output is therefore byte-identical
  * for any job count — `--jobs 4` only changes wall-clock time.
  *
  * Scheduling (CampaignOptions::lpt, default on) reorders only the claim
@@ -138,8 +137,8 @@ struct CampaignResult
      * labels, sampling interval, sample-cycle stamps, and one delta
      * array per counter ("counters": {"core.thread_instrs": [..], ...})
      * — directly plottable as IPC / hit-rate / bandwidth curves (divide
-     * a row by the window widths). Byte-stable across job counts, cache
-     * states, and tick backends. Runs without sampling emit empty
+     * a row by the window widths). Byte-stable across job counts and
+     * cache states. Runs without sampling emit empty
      * arrays.
      */
     void writeTimeSeriesJson(std::ostream& os) const;

@@ -8,9 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
-#include <stdexcept>
 
 #include "area/area.h"
 #include "common/log.h"
@@ -788,7 +785,7 @@ findPreset(const std::string& name)
     for (const Preset& p : presets())
         if (p.name == name)
             return &p;
-    // Accept the long bench-harness names as aliases: "fig18_scaling" is
+    // Accept the long figure/table names as aliases: "fig18_scaling" is
     // the fig18 preset, "table3_core_area" is table3, and so on. Only
     // figN_*/tableN_* are shortened — ablation_* presets keep their
     // underscore names.
@@ -798,46 +795,6 @@ findPreset(const std::string& name)
             return findPreset(name.substr(0, us));
     }
     return nullptr;
-}
-
-int
-runSpecMain(const SweepSpec& spec,
-            const std::function<ReportTable(const CampaignResult&)>& report)
-{
-    try {
-        CampaignOptions opts;
-        opts.jobs = 0; // host hardware threads
-        if (const char* env = std::getenv("VORTEX_SWEEP_JOBS"))
-            opts.jobs = parseU32Value("VORTEX_SWEEP_JOBS", env);
-        CampaignResult result = Campaign(opts).run(spec);
-        if (report)
-            report(result).print(std::cout);
-        return 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
-}
-
-int
-runPresetMain(const std::string& name, const PresetArgs& args)
-{
-    const Preset* p = findPreset(name);
-    if (!p) {
-        std::fprintf(stderr, "unknown preset '%s'\n", name.c_str());
-        return 2;
-    }
-    try {
-        if (p->table) {
-            requireNoArgs(name, args);
-            p->table().print(std::cout);
-            return 0;
-        }
-        return runSpecMain(p->sweep(args), p->report);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
 }
 
 } // namespace vortex::sweep

@@ -6,9 +6,10 @@
  * ReportTable directly (the synthesis/area tables 3-5 and Fig. 15, which
  * evaluate the calibrated area model without running the simulator).
  *
- * The bench/ harnesses and the `vortex_sweep` CLI are both thin clients
- * of this registry, so "run one figure" and "run any campaign" share a
- * single definition of every experiment.
+ * The `vortex_sweep` CLI is a thin client of this registry:
+ * `vortex_sweep run --preset fig18` reproduces one figure, and "run one
+ * figure" and "run any campaign" share a single definition of every
+ * experiment.
  */
 
 #pragma once
@@ -81,8 +82,8 @@ SweepSpec workloadZooSpec();
  *  100K-cycle watchdog (`[faults]`; docs/ROBUSTNESS.md). Runs are
  *  classified masked / sdc / detected / hang from their (status, ok)
  *  pair by faultClassificationReport(). Deterministic: the same seed
- *  produces byte-identical campaign CSV for any job count, tick
- *  backend, or cache state. CI runs it from the dumped spec file
+ *  produces byte-identical campaign CSV for any job count or cache
+ *  state. CI runs it from the dumped spec file
  *  (examples/specs/fault_smoke.toml, job `fault-matrix`). */
 SweepSpec faultSmokeSpec();
 
@@ -114,8 +115,8 @@ struct Preset
 /** Every built-in preset, in paper order. */
 const std::vector<Preset>& presets();
 
-/** Registry lookup; nullptr when @p name is unknown. The long
- *  bench-harness names are accepted as aliases ("fig18_scaling" ->
+/** Registry lookup; nullptr when @p name is unknown. The long figure
+ *  and table names are accepted as aliases ("fig18_scaling" ->
  *  "fig18", "table3_core_area" -> "table3", ...). */
 const Preset* findPreset(const std::string& name);
 
@@ -125,20 +126,5 @@ const Preset* findPreset(const std::string& name);
  * fallback for ad-hoc CLI sweeps with two axes.
  */
 ReportTable pivotIpc(const CampaignResult& result);
-
-/**
- * Run preset @p name and print its report to stdout — the whole body of
- * a bench/ harness. The job count comes from the VORTEX_SWEEP_JOBS
- * environment variable (default: host hardware threads); results are
- * identical for any job count.
- * @return a process exit code (0 on success).
- */
-int runPresetMain(const std::string& name, const PresetArgs& args = {});
-
-/** runPresetMain for an already-built spec (ad-hoc sweeps); @p report
- *  renders the figure, nullptr prints no report. */
-int runSpecMain(const SweepSpec& spec,
-                const std::function<ReportTable(const CampaignResult&)>&
-                    report);
 
 } // namespace vortex::sweep

@@ -195,10 +195,8 @@ const FieldDef kFields[] = {
     VORTEX_U32_FIELD(mem.numChannels, "independent memory channels"),
     VORTEX_U32_FIELD(mem.queueDepth, "memory input-queue depth"),
 
-    // Texture + host backend.
+    // Texture units.
     VORTEX_BOOL_FIELD(texEnabled, "build the per-core texture units"),
-    VORTEX_BOOL_FIELD(parallelTick, "tick cores on a host thread pool"),
-    VORTEX_U32_FIELD(tickThreads, "pool size (0 = host CPUs)"),
 
     // Observability. The config field is 64-bit; parse it as such.
     {"sampleInterval", "cycles between counter snapshots (0 = off)",
@@ -605,10 +603,7 @@ RunSpec::canonical() const
        << "startPC = " << c.startPC << "\n"
        << "smemBase = " << c.smemBase << "\n"
        << "sampleInterval = " << c.sampleInterval << "\n";
-    // parallelTick / tickThreads are deliberately EXCLUDED: the backends
-    // are bit-identical (core/tick_engine.h), so a cached serial result is
-    // valid for a parallel-backend run of the same machine and vice versa.
-    // sampleInterval IS included even though it cannot change simulation
+    // sampleInterval is included even though it cannot change simulation
     // results: a cached record must carry the time series the request
     // asks for, and the series shape depends on the interval.
     os << "workload = "

@@ -956,8 +956,6 @@ configAssignments(const core::ArchConfig& c)
         {"mem.numChannels", u(c.mem.numChannels)},
         {"mem.queueDepth", u(c.mem.queueDepth)},
         {"texEnabled", b(c.texEnabled)},
-        {"parallelTick", b(c.parallelTick)},
-        {"tickThreads", u(c.tickThreads)},
         {"sampleInterval", u(c.sampleInterval)},
     };
 }

@@ -338,28 +338,6 @@ TEST(Analysis, KernelsVerifyCleanOnLargeMachines)
     }
 }
 
-TEST(Analysis, ReportIndependentOfTickEngine)
-{
-    // The analyzer sees the machine geometry, never the host execution
-    // strategy: serial and parallel-tick configs must yield
-    // byte-identical reports.
-    core::ArchConfig serial;
-    serial.parallelTick = false;
-    core::ArchConfig parallel;
-    parallel.parallelTick = true;
-    parallel.tickThreads = 4;
-    isa::Program ps, pp;
-    Report rs = verifyKernel(kernels::sgemm(), serial, ps);
-    Report rp = verifyKernel(kernels::sgemm(), parallel, pp);
-    ASSERT_EQ(rs.diagnostics.size(), rp.diagnostics.size());
-    for (size_t i = 0; i < rs.diagnostics.size(); ++i)
-        EXPECT_TRUE(rs.diagnostics[i] == rp.diagnostics[i]);
-    std::ostringstream a, b;
-    rs.writeJson(a, &ps);
-    rp.writeJson(b, &pp);
-    EXPECT_EQ(a.str(), b.str());
-}
-
 TEST(Analysis, AnalysisIsDeterministic)
 {
     isa::Program p;

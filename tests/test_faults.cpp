@@ -2,10 +2,9 @@
  * @file
  * Fault-injection engine tests (docs/ROBUSTNESS.md): plan generation
  * determinism, the injection hook's architectural effect, watchdog
- * timeout classification under both tick backends, campaigns that
- * record failures as structured rows and still complete the matrix,
- * and the byte-identity of a faulted campaign's CSV across job counts,
- * tick backends, and cache states.
+ * timeout classification, campaigns that record failures as structured
+ * rows and still complete the matrix, and the byte-identity of a
+ * faulted campaign's CSV across job counts and cache states.
  */
 
 #include <gtest/gtest.h>
@@ -49,13 +48,11 @@ freshTempDir(const char* tag)
  *  applied. The program path resolves through VORTEX_PROGRAM_PATH
  *  (tests/CMakeLists.txt points it at the source tree). */
 RunSpec
-guestRun(const std::string& name, const faults::FaultSpec& faults,
-         bool parallelTick = false)
+guestRun(const std::string& name, const faults::FaultSpec& faults)
 {
     SweepSpec s;
     s.name = "faults-one";
     s.base = baselineConfig(1);
-    s.base.parallelTick = parallelTick;
     applyField(s.base, s.baseWorkload, "kernel", name);
     applyField(s.base, s.baseWorkload, "program",
                "examples/kernels/" + name + ".s");
@@ -243,22 +240,17 @@ TEST(Faults, InjectedRunFailsDeterministicallyWithAStructuredStatus)
     EXPECT_EQ(again.result.error, hit.result.error);
 }
 
-TEST(Faults, HangingGuestTimesOutUnderBothTickBackends)
+TEST(Faults, HangingGuestTimesOut)
 {
     faults::FaultSpec f;
     f.watchdog = 50000; // no injection — just the cycle watchdog
 
-    RunRecord serial = executeRun(guestRun("hang", f, false));
-    EXPECT_FALSE(serial.result.ok);
-    EXPECT_EQ(serial.result.status, RunStatus::Timeout);
-    EXPECT_EQ(serial.result.cycles, f.watchdog);
-    EXPECT_NE(serial.result.error.find("did not complete"),
+    RunRecord hung = executeRun(guestRun("hang", f));
+    EXPECT_FALSE(hung.result.ok);
+    EXPECT_EQ(hung.result.status, RunStatus::Timeout);
+    EXPECT_EQ(hung.result.cycles, f.watchdog);
+    EXPECT_NE(hung.result.error.find("did not complete"),
               std::string::npos);
-
-    RunRecord parallel = executeRun(guestRun("hang", f, true));
-    EXPECT_EQ(parallel.result.status, RunStatus::Timeout);
-    EXPECT_EQ(parallel.result.cycles, serial.result.cycles);
-    EXPECT_EQ(parallel.result.threadInstrs, serial.result.threadInstrs);
 }
 
 TEST(Faults, CampaignWithAHangingGuestCompletesTheMatrix)
@@ -289,7 +281,7 @@ TEST(Faults, CampaignWithAHangingGuestCompletesTheMatrix)
 // Campaign-level determinism of the shipped smoke preset.
 //
 
-TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsBackendsAndCache)
+TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsAndCache)
 {
     SweepSpec spec = faultSmokeSpec();
 
@@ -303,12 +295,6 @@ TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsBackendsAndCache)
     CampaignOptions par4;
     par4.jobs = 4;
     EXPECT_EQ(csvOf(Campaign(par4).run(spec)), bytes);
-
-    // The parallel tick backend produces the same rows (parallelTick is
-    // execution metadata: same content hashes, same results).
-    SweepSpec parSpec = spec;
-    parSpec.base.parallelTick = true;
-    EXPECT_EQ(csvOf(Campaign(par4).run(parSpec)), bytes);
 
     // Cold then warm cache: failed runs are never cached (they re-run),
     // ok runs all hit, and the bytes still match.

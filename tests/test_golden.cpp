@@ -3,8 +3,7 @@
  * Golden simulated-timing gate for host-performance work: the exact
  * cycle counts, thread-instruction counts, and headline device counters
  * of all six `perf_smoke` runs, pinned to the values recorded in the
- * committed BENCH_PR.json (the CI bench-trajectory baseline), for BOTH
- * tick backends.
+ * committed BENCH_PR.json (the CI bench-trajectory baseline).
  *
  * Purpose: any host-perf refactor (decode caches, pooled uops, slot
  * pools, counter handles, ...) must leave simulated timing bit-identical
@@ -52,10 +51,11 @@ const Golden kGolden[] = {
     {"sgemm/2", 29821, 115066, 28862, 28862, 30148, 29200, 948, 62144},
 };
 
-/** Execute every perf_smoke run on the given tick backend and compare
- *  cycles / instructions / headline counters against the pinned table. */
-void
-checkBackend(bool parallel_tick)
+} // namespace
+
+/** Execute every perf_smoke run and compare cycles / instructions /
+ *  headline counters against the pinned table. */
+TEST(Golden, PerfSmokeMatchesBenchBaseline)
 {
     sweep::SweepSpec spec = sweep::perfSmokeSpec();
     std::vector<sweep::RunSpec> runs = spec.expand();
@@ -66,8 +66,6 @@ checkBackend(bool parallel_tick)
         const Golden& want = kGolden[i];
         ASSERT_EQ(run.id(), want.id) << "matrix order drifted";
 
-        run.config.parallelTick = parallel_tick;
-        run.config.tickThreads = parallel_tick ? 2 : 0;
         runtime::Device dev(run.config);
         runtime::RunResult r = run.workload.run(dev);
         ASSERT_TRUE(r.ok) << run.id() << ": " << r.error;
@@ -75,34 +73,19 @@ checkBackend(bool parallel_tick)
         StatGroup flat;
         dev.processor().collectStats(flat);
 
-        const char* backend = parallel_tick ? " [parallel]" : " [serial]";
-        EXPECT_EQ(r.cycles, want.cycles) << want.id << backend;
-        EXPECT_EQ(r.threadInstrs, want.threadInstrs) << want.id << backend;
+        EXPECT_EQ(r.cycles, want.cycles) << want.id;
+        EXPECT_EQ(r.threadInstrs, want.threadInstrs) << want.id;
         EXPECT_EQ(flat.get("core.thread_instrs"), want.threadInstrs)
-            << want.id << backend;
-        EXPECT_EQ(flat.get("core.retired"), want.coreRetired)
-            << want.id << backend;
+            << want.id;
+        EXPECT_EQ(flat.get("core.retired"), want.coreRetired) << want.id;
         EXPECT_EQ(flat.get("icache.core_reads"), want.icacheReads)
-            << want.id << backend;
+            << want.id;
         EXPECT_EQ(flat.get("dcache.core_reads"), want.dcacheReads)
-            << want.id << backend;
+            << want.id;
         EXPECT_EQ(flat.get("dcache.read_hits"), want.dcacheReadHits)
-            << want.id << backend;
+            << want.id;
         EXPECT_EQ(flat.get("dcache.read_misses"), want.dcacheReadMisses)
-            << want.id << backend;
-        EXPECT_EQ(flat.get("mem.bytes"), want.memBytes)
-            << want.id << backend;
+            << want.id;
+        EXPECT_EQ(flat.get("mem.bytes"), want.memBytes) << want.id;
     }
-}
-
-} // namespace
-
-TEST(Golden, PerfSmokeSerialTickMatchesBenchBaseline)
-{
-    checkBackend(/*parallel_tick=*/false);
-}
-
-TEST(Golden, PerfSmokeParallelTickMatchesBenchBaseline)
-{
-    checkBackend(/*parallel_tick=*/true);
 }

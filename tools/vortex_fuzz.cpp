@@ -1,14 +1,16 @@
 /**
  * @file
  * `vortex_fuzz` — differential fuzzing of the guest toolchain and the
- * simulator's tick backends.
+ * simulator's pipeline.
  *
  * Each seed deterministically generates a well-formed guest program
  * (src/fuzz/), pushes it through the full object pipeline
  * (assemble -> VXOB write/read -> load/relocate), requires a clean
- * static-analysis report, then runs it on the serial and the parallel
- * backend and compares cycles, retired thread instructions, and the
- * guest-visible scratch memory byte-for-byte:
+ * static-analysis report, then runs it on the base machine and on a
+ * timing variant of it (slow memory, shallow queues; fuzz::timingVariant)
+ * and compares retired thread instructions and the guest-visible scratch
+ * memory byte-for-byte. The two cycle counts must differ, or the variant
+ * did not perturb timing:
  *
  *   vortex_fuzz --seeds 100
  *   vortex_fuzz --seeds 50 --start 1000 --set numCores=4
@@ -173,9 +175,12 @@ run(int argc, char** argv)
         fuzz::FuzzResult r = fuzz::runDifferential(seed, config);
         if (r.ok) {
             if (verbose)
-                std::printf("seed %llu: ok (%llu cycles, %llu instrs)\n",
+                std::printf("seed %llu: ok (%llu / %llu cycles, %llu "
+                            "instrs)\n",
                             static_cast<unsigned long long>(seed),
                             static_cast<unsigned long long>(r.cycles),
+                            static_cast<unsigned long long>(
+                                r.variantCycles),
                             static_cast<unsigned long long>(
                                 r.threadInstrs));
             continue;
