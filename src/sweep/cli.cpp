@@ -54,8 +54,6 @@ usage(int code)
         "                       running it\n"
         "  --set F=V            fix field F to V in the base machine\n"
         "                       (repeatable, applied before the axes)\n"
-        "  --arg K=V            preset parameter (fig20: size=N;\n"
-        "                       fig21: paper=1)\n"
         "  --jobs N             concurrent runs (default 1; 0 = host CPUs)\n"
         "  --cache DIR          result-cache directory (skip unchanged "
         "runs)\n"
@@ -106,7 +104,8 @@ usage(int code)
         "                            without streaming an event\n"
         "  submit --socket PATH --shutdown\n"
         "\n"
-        "legacy aliases (pre-subcommand spellings, still supported):\n"
+        "legacy grammar (removed on 2027-04-01): the flat flags without\n"
+        "a command word run as `run` flags, and these aliases:\n"
         "  --list               = specs list\n"
         "  --fields             = specs fields\n"
         "  --cache-prune        = cache prune (with --cache DIR\n"
@@ -206,7 +205,7 @@ struct RunArgs
     std::string timeseriesPath, benchJsonPath, olderThan;
     std::string specPath, dumpSpecPath, shardArg;
     std::vector<Axis> axes;
-    std::vector<std::pair<std::string, std::string>> sets, presetArgs;
+    std::vector<std::pair<std::string, std::string>> sets;
     CampaignOptions opts;
     uint32_t sampleInterval = 0;
     bool list = false, fields = false, noCsv = false, cachePrune = false;
@@ -256,8 +255,6 @@ parseRunArgs(RunArgs& o, const std::vector<std::string>& args, size_t start,
         else if (a == "--faults")
             for (auto& kv : parseFaultsArg(next()))
                 o.sets.push_back(std::move(kv));
-        else if (a == "--arg")
-            o.presetArgs.push_back(parseKeyValue("--arg", next()));
         else if (a == "--jobs")
             o.opts.jobs = parseU32Value("--jobs", next());
         else if (a == "--cache")
@@ -544,7 +541,7 @@ execRun(RunArgs& o)
         fatal("--older-than only applies to --cache-prune");
     if (o.presetName.empty() && o.axes.empty() && o.specPath.empty()) {
         std::fprintf(stderr, "nothing to do: give --preset, --spec, "
-                             "or --axis (see --list)\n");
+                             "or --axis (see specs list)\n");
         return usage(2);
     }
     if (!o.presetName.empty() && !o.specPath.empty())
@@ -555,9 +552,9 @@ execRun(RunArgs& o)
     // Resolve the spec (or finished table) to run.
     //
     SweepSpec spec;
-    std::function<ReportTable(const CampaignResult&)> report;
+    const bool cliAxes = !o.axes.empty();
     if (!o.presetName.empty()) {
-        if (!o.axes.empty())
+        if (cliAxes)
             fatal("--axis does not combine with --preset; use --set "
                   "to fix base-machine fields, or drop --preset for "
                   "an ad-hoc sweep");
@@ -567,7 +564,7 @@ execRun(RunArgs& o)
         const Preset* p = findPreset(o.presetName);
         if (!p)
             fatal("unknown preset '", o.presetName,
-                  "' (vortex_sweep --list)");
+                  "' (vortex_sweep specs list)");
         if (p->table) {
             if (!o.sets.empty())
                 fatal("preset '", o.presetName,
@@ -581,9 +578,6 @@ execRun(RunArgs& o)
                 fatal("preset '", o.presetName,
                       "' is an area table; it has no sweep spec to "
                       "dump");
-            if (!o.presetArgs.empty())
-                fatal("preset '", o.presetName, "' takes no --arg '",
-                      o.presetArgs[0].first, "'");
             if (!o.shardArg.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; there is no run matrix to "
@@ -602,39 +596,27 @@ execRun(RunArgs& o)
             t.print(std::cout);
             return 0;
         }
-        spec = p->sweep(o.presetArgs);
-        report = p->report;
+        spec = p->spec();
     } else if (!o.specPath.empty()) {
-        if (!o.presetArgs.empty())
-            fatal("--arg only applies to presets (spec files carry "
-                  "their parameters in [base]/[workload])");
         spec = parseSpecFile(o.specPath);
         if (!o.campaignName.empty())
             spec.name = o.campaignName;
         // CLI axes append after the file's own (they vary fastest).
         for (Axis& a : o.axes)
             spec.axes.push_back(std::move(a));
-        // A spec named after a sweep preset is that preset (the specs
-        // CI job pins the round trip), so it gets the preset's report —
-        // unless CLI axes reshaped the matrix the report indexes by.
-        const Preset* twin = findPreset(spec.name);
-        if (twin && twin->sweep && o.axes.empty())
-            report = twin->report;
-        else if (spec.axes.size() == 2)
-            report = pivotIpc;
     } else {
-        if (!o.presetArgs.empty())
-            fatal("--arg only applies to presets (use --set for "
-                  "base-machine fields)");
         spec.name = o.campaignName.empty() ? "custom" : o.campaignName;
         spec.description = "ad-hoc CLI sweep";
         spec.axes = std::move(o.axes);
-        if (spec.axes.size() == 2)
-            report = pivotIpc;
     }
+    // Axes given on the command line reshape the matrix a figure's own
+    // report indexes by, so they leave only the generic pivot.
+    ReportFn report = reportFor(spec);
+    if (cliAxes)
+        report = spec.axes.size() == 2 ? pivotIpc : nullptr;
     for (const auto& [k, v] : o.sets)
         if (!applyField(spec.base, spec.baseWorkload, k, v))
-            fatal("--set: unknown field '", k, "' (vortex_sweep --fields)");
+            fatal("--set: unknown field '", k, "' (vortex_sweep specs fields)");
     if (o.sampleInterval != 0)
         spec.base.sampleInterval = o.sampleInterval;
     // CLI --shard overrides the spec's own [fabric] shard annotation.
@@ -753,34 +735,25 @@ specsCmd(const std::vector<std::string>& args)
     }
     if (verb == "dump") {
         // `specs dump [run flags] [PATH]`: same resolution as `run`,
-        // serialized instead of executed. PATH defaults to stdout.
+        // serialized instead of executed. PATH is the one token the run
+        // flags do not consume ('-' = stdout, the default).
         RunArgs o;
-        std::vector<std::string> rest(args.begin() + 1, args.end());
-        std::string out = "-";
-        if (!rest.empty() && !rest.back().empty() && rest.back()[0] != '-' &&
-            rest.back().find('=') == std::string::npos) {
-            // A trailing bare word that is not a flag value: only take
-            // it as PATH when the preceding token is not a flag that
-            // wants an argument.
-            bool prevTakesArg =
-                rest.size() >= 2 && rest[rest.size() - 2].size() > 2 &&
-                rest[rest.size() - 2].compare(0, 2, "--") == 0;
-            if (!prevTakesArg) {
-                out = rest.back();
-                rest.pop_back();
-            }
-        }
+        std::string out;
         bool help = false;
         size_t bad = 0;
-        if (!parseRunArgs(o, rest, 0, help, bad)) {
-            std::fprintf(stderr, "unknown argument '%s'\n",
-                         rest[bad].c_str());
-            return usage(2);
+        for (size_t start = 1; !parseRunArgs(o, args, start, help, bad);
+             start = bad + 1) {
+            const std::string& a = args[bad];
+            if (!out.empty() || (a.size() > 1 && a[0] == '-')) {
+                std::fprintf(stderr, "unknown argument '%s'\n", a.c_str());
+                return usage(2);
+            }
+            out = a;
         }
         if (help)
             return usage(0);
         if (o.dumpSpecPath.empty())
-            o.dumpSpecPath = out;
+            o.dumpSpecPath = out.empty() ? "-" : out;
         return execRun(o);
     }
     fatal("specs: unknown verb '", verb, "' (list, fields, dump)");
@@ -807,7 +780,7 @@ cliMain(const std::vector<std::string>& args)
                 return specsCmd(rest);
         }
         // No subcommand word: the legacy flat-flag grammar (identical
-        // to `run`).
+        // to `run`), a compatibility shim to be removed on 2027-04-01.
         return runCmd(args, 0);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());

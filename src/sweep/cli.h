@@ -14,8 +14,10 @@
  * Every pre-subcommand flag spelling (`vortex_sweep --preset fig18`,
  * `--cache-prune`, `--list`, `--fields`, `--dump-spec`, ...) still works
  * as a legacy alias: an argv whose first element is not a subcommand
- * word is parsed exactly as the flat flag grammar, pinned by
- * tests/test_fabric.cpp.
+ * word is parsed exactly as the flat flag grammar, pinned by the compat
+ * tests in tests/test_fabric.cpp. This legacy grammar is a
+ * compatibility shim scheduled for removal on 2027-04-01; new scripts
+ * use the subcommands.
  */
 
 #pragma once

@@ -1,22 +1,28 @@
 /**
  * @file
  * Built-in campaign presets: one per paper figure/table plus the cache
- * and pipeline ablations. Each preset either expands to a SweepSpec
- * (simulation campaigns — Figs. 14/18/19/20/21, ablations) or produces a
- * ReportTable directly (the synthesis/area tables 3-5 and Fig. 15, which
- * evaluate the calibrated area model without running the simulator).
+ * and pipeline ablations and the smoke campaigns. A preset is either a
+ * simulation campaign or an area table:
+ *
+ *  - every simulation preset (Figs. 14/18/19/20/21, the ablations, the
+ *    smoke campaigns) is a canonical spec file, examples/specs/NAME.toml.
+ *    The build embeds those files into the library (src/CMakeLists.txt),
+ *    so the file is the only definition of the campaign; adding a preset
+ *    is adding a file and rebuilding;
+ *  - the synthesis/area tables 3-5 and Fig. 15 produce a ReportTable
+ *    directly from the calibrated area model, without simulating.
  *
  * The `vortex_sweep` CLI is a thin client of this registry:
- * `vortex_sweep run --preset fig18` reproduces one figure, and "run one
- * figure" and "run any campaign" share a single definition of every
- * experiment.
+ * `vortex_sweep run --preset fig18` reproduces one figure, and
+ * `run --spec examples/specs/fig18.toml` runs the same campaign with the
+ * same report (reportFor keys renderers by campaign name).
  */
 
 #pragma once
 
 #include <functional>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sweep/campaign.h"
@@ -35,95 +41,48 @@ namespace vortex::sweep {
 core::ArchConfig baselineConfig(uint32_t cores = 1,
                                 core::ArchConfig base = {});
 
-/** The five §6.2.1 design-space geometry labels of Table 3 / Fig. 14
- *  ("4W-4T", ...), as a geometry axis over numWarps/numThreads. */
-Axis geometryAxis();
-
-/** The five Rodinia kernels plotted in Fig. 14 / Fig. 19. */
-const std::vector<std::string>& fig14Kernels();
-
-/** All seven Rodinia kernels of the scaling study (Fig. 18). */
-const std::vector<std::string>& fig18Kernels();
-
-//
-// Spec builders (parameterized; the registry uses the defaults).
-//
-SweepSpec fig14Spec(); ///< IPC of the five core geometries x five kernels
-SweepSpec fig18Spec(); ///< IPC vs core count (1-16), all seven kernels
-SweepSpec fig19Spec(); ///< D$ virtual ports: bank utilization and IPC
-SweepSpec fig20Spec(uint32_t size = 64); ///< HW vs SW texture filtering
-SweepSpec fig21Spec(bool paperSize = false); ///< memory latency/bandwidth
-
-/** The pinned CI perf-trajectory campaign: three kernels x {1, 2} cores,
- *  test-sized, small enough for every PR. CI runs it with sampling on
- *  and records its `--bench-json` output as the bench trajectory point
- *  (see .github/workflows/ci.yml, job `perf-smoke`). */
-SweepSpec perfSmokeSpec();
-
-/** The assembly-toolchain smoke campaign: the seven checked-in `.s`
- *  kernel twins (examples/kernels/) run through the full
- *  assemble -> object -> load pipeline at {1, 2} cores. Each point
- *  must produce the same cycles/instrs as the built-in kernel it
- *  twins; CI runs it from the dumped spec file
- *  (examples/specs/asm_smoke.toml). */
-SweepSpec asmSmokeSpec();
-
-/** The harness-free workload-zoo campaign: every `.s`-only workload
- *  (examples/kernels/ programs with no C++ twin) run through the
- *  object pipeline at {1, 2} cores with `check = "selfcheck"` — the
- *  guest verifies its own results through the self-check mailbox
- *  (docs/TOOLCHAIN.md), zero per-workload C++ harness code. CI runs it
- *  from the dumped spec file (examples/specs/workload_zoo.toml). */
-SweepSpec workloadZooSpec();
-
-/** The fault-injection smoke campaign: three `.s` guests (bitonic,
- *  reduce_tree, and the non-terminating hang fixture) x eight seeds,
- *  four seeded bit flips per run in a 4000-cycle window with a
- *  100K-cycle watchdog (`[faults]`; docs/ROBUSTNESS.md). Runs are
- *  classified masked / sdc / detected / hang from their (status, ok)
- *  pair by faultClassificationReport(). Deterministic: the same seed
- *  produces byte-identical campaign CSV for any job count or cache
- *  state. CI runs it from the dumped spec file
- *  (examples/specs/fault_smoke.toml, job `fault-matrix`). */
-SweepSpec faultSmokeSpec();
-
-/** The fault_smoke report: per-kernel counts of masked / sdc /
- *  detected / hang (see faultSmokeSpec and docs/ROBUSTNESS.md). */
-ReportTable faultClassificationReport(const CampaignResult& r);
-
-/** Preset parameters as (key, value) pairs (`--arg size=128`). */
-using PresetArgs = std::vector<std::pair<std::string, std::string>>;
-
-/** One runnable experiment in the preset registry. Exactly one of
- *  `sweep` / `table` is set. */
+/** One runnable experiment in the preset registry: a simulation
+ *  campaign (`text` set) or an area table (`table` set). */
 struct Preset
 {
-    std::string name;        ///< CLI name (e.g. "fig18")
-    std::string description; ///< one-liner for --list / the README table
-    /** Builds the campaign spec (simulation presets). Fatal on an
-     *  argument the preset does not take (fig20: size=N;
-     *  fig21: paper=0/1; the rest take none). */
-    std::function<SweepSpec(const PresetArgs&)> sweep;
-    /** Builds the finished table (area/synthesis presets; take no
-     *  arguments). */
+    std::string name;        ///< CLI name: the spec file stem ("fig18")
+    std::string description; ///< one-liner for `specs list`
+    /** Simulation presets: the embedded text of examples/specs/NAME.toml,
+     *  byte for byte. Empty for area tables. */
+    std::string_view text;
+    /** Area presets: builds the finished table. Null for simulation
+     *  presets. */
     std::function<ReportTable()> table;
-    /** Renders the figure-shaped human report from campaign results
-     *  (simulation presets only). */
-    std::function<ReportTable(const CampaignResult&)> report;
+
+    /** The campaign a simulation preset describes: `text` parsed with
+     *  diagnostics naming examples/specs/NAME.toml. */
+    SweepSpec spec() const;
 };
 
-/** Every built-in preset, in paper order. */
+/** Every built-in preset, sorted by name. */
 const std::vector<Preset>& presets();
 
 /** Registry lookup; nullptr when @p name is unknown. The long figure
  *  and table names are accepted as aliases ("fig18_scaling" ->
- *  "fig18", "table3_core_area" -> "table3", ...). */
+ *  "fig18", "table3_core_area" -> "table3", ...). The aliases are a
+ *  compatibility shim scheduled for removal on 2027-04-01. */
 const Preset* findPreset(const std::string& name);
+
+/** A campaign report renderer. */
+using ReportFn = ReportTable (*)(const CampaignResult&);
+
+/**
+ * The report for the campaign @p spec describes, keyed by its name:
+ * fig14, fig18, fig19, fig20, fig21 and fault_smoke have their own
+ * renderers; any other campaign with two axes gets pivotIpc; the rest
+ * get none (nullptr). Preset runs and `--spec` runs share this lookup.
+ */
+ReportFn reportFor(const SweepSpec& spec);
 
 /**
  * Generic two-axis IPC pivot: rows = first-axis labels, columns =
- * second-axis labels. The report shape of the ablation presets and the
- * fallback for ad-hoc CLI sweeps with two axes.
+ * second-axis labels. The report of the ablation and smoke presets and
+ * of any other two-axis sweep.
  */
 ReportTable pivotIpc(const CampaignResult& result);
 

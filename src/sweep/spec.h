@@ -199,7 +199,7 @@ bool applyField(core::ArchConfig& cfg, WorkloadSpec& wl,
 struct FieldInfo
 {
     const char* name; ///< the name applyField() matches
-    const char* help; ///< one-line description for `vortex_sweep --fields`
+    const char* help; ///< one-line description for `vortex_sweep specs fields`
 };
 
 /** Every field name applyField() accepts, with a one-line description. */

@@ -23,10 +23,10 @@
  * base machine and workload field is written explicitly (not just the
  * fields that differ from today's defaults), so a spec file pins the
  * machine even if ArchConfig defaults drift later. `vortex_sweep
- * --dump-spec` uses it to export any preset; the shipped TOML files
- * under examples/specs/ are exactly these dumps, and CI re-dumps and
- * diffs them so the registry and the documents cannot drift apart
- * (tests/test_specfile.cpp pins content-hash equality of the round trip).
+ * --dump-spec` uses it to export any campaign; the shipped TOML files
+ * under examples/specs/, which the build embeds as the sweep presets,
+ * are exactly these dumps (tests/test_specfile.cpp pins that each
+ * re-dumps to itself and that round trips are content-hash identical).
  */
 
 #pragma once
@@ -88,8 +88,8 @@ SweepSpec parseSpecFile(const std::string& path);
  * registry config field, in registry order), the `[workload]` block, and
  * one `[[axes]]` / `[[axes.points]]` pair per axis point. The output
  * parses back (parseSpecText) to a spec whose expanded run matrix is
- * content-hash-identical to @p spec's — the round trip CI and the tests
- * rely on.
+ * content-hash-identical to @p spec's — the round trip the tests rely
+ * on.
  *
  * Derived fields ("cores") are never emitted: the concrete fields they
  * assign are. Note lineSize is written once and re-applies to both the

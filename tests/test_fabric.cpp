@@ -189,7 +189,7 @@ TEST(Shard, AssignmentIsDisjointExhaustiveAndBalanced)
 
 TEST(Shard, AssignmentIsDeterministic)
 {
-    std::vector<RunSpec> runs = findPreset("perf_smoke")->sweep({}).expand();
+    std::vector<RunSpec> runs = findPreset("perf_smoke")->spec().expand();
     EXPECT_EQ(shardAssignment(runs, 3), shardAssignment(runs, 3));
 }
 
@@ -802,7 +802,23 @@ TEST(Cli, SpecsDumpMatchesLegacyDumpSpecAndCarriesTheShard)
     EXPECT_EQ(slurp(outLegacy), slurp(outSub));
     EXPECT_EQ(slurp(outLegacy).find("[fabric]"), std::string::npos);
 
-    // --shard folds into the dump, and the dump parses back sharded.
+    // PATH is the one token the run flags leave over: it may follow a
+    // flag that takes no value, and '-' is stdout.
+    std::string outQuiet = freshTempDir("dump4") + ".toml";
+    ASSERT_EQ(cliMain({"specs", "dump", "--preset", "perf_smoke", "--quiet",
+                       outQuiet}),
+              0);
+    EXPECT_EQ(slurp(outQuiet), slurp(outLegacy));
+    testing::internal::CaptureStdout();
+    int rc = cliMain({"specs", "dump", "--preset", "perf_smoke", "-"});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), slurp(outLegacy));
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(cliMain({"specs", "dump", "--preset", "perf_smoke", outQuiet,
+                       "extra.toml"}),
+              2);
+
+    // --shard folds into the dump, the dump parses back sharded, and
+    // re-dumping it gives the same bytes.
     std::string outShard = freshTempDir("dump3") + ".toml";
     ASSERT_EQ(cliMain({"specs", "dump", "--preset", "perf_smoke", "--shard",
                        "1/2", outShard}),
@@ -810,6 +826,9 @@ TEST(Cli, SpecsDumpMatchesLegacyDumpSpecAndCarriesTheShard)
     SweepSpec parsed = parseSpecFile(outShard);
     EXPECT_EQ(parsed.shardIndex, 1u);
     EXPECT_EQ(parsed.shardCount, 2u);
+    std::string outRedump = freshTempDir("dump5") + ".toml";
+    ASSERT_EQ(cliMain({"specs", "dump", "--spec", outShard, outRedump}), 0);
+    EXPECT_EQ(slurp(outRedump), slurp(outShard));
 
     // An invalid shard selector is a fatal diagnostic, not a crash.
     EXPECT_EQ(cliMain({"run", "--preset", "perf_smoke", "--shard", "2/2",
@@ -819,6 +838,8 @@ TEST(Cli, SpecsDumpMatchesLegacyDumpSpecAndCarriesTheShard)
     std::filesystem::remove(outLegacy);
     std::filesystem::remove(outSub);
     std::filesystem::remove(outShard);
+    std::filesystem::remove(outQuiet);
+    std::filesystem::remove(outRedump);
 }
 
 TEST(Cli, CacheSubcommandsListMergePrune)

@@ -283,7 +283,7 @@ TEST(Faults, CampaignWithAHangingGuestCompletesTheMatrix)
 
 TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsAndCache)
 {
-    SweepSpec spec = faultSmokeSpec();
+    SweepSpec spec = findPreset("fault_smoke")->spec();
 
     CampaignOptions serial1;
     serial1.jobs = 1;

@@ -57,7 +57,7 @@ const Golden kGolden[] = {
  *  headline counters against the pinned table. */
 TEST(Golden, PerfSmokeMatchesBenchBaseline)
 {
-    sweep::SweepSpec spec = sweep::perfSmokeSpec();
+    sweep::SweepSpec spec = sweep::findPreset("perf_smoke")->spec();
     std::vector<sweep::RunSpec> runs = spec.expand();
     ASSERT_EQ(runs.size(), std::size(kGolden));
 

@@ -279,7 +279,7 @@ TEST(Presets, PerfSmokePresetAndBenchHarnessAliases)
 {
     const sweep::Preset* smoke = sweep::findPreset("perf_smoke");
     ASSERT_NE(smoke, nullptr);
-    sweep::SweepSpec spec = smoke->sweep({});
+    sweep::SweepSpec spec = smoke->spec();
     EXPECT_EQ(spec.runCount(), 6u);
     EXPECT_EQ(spec.expand().size(), 6u);
 

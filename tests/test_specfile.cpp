@@ -5,11 +5,10 @@
  *
  *  - round trip: every built-in sweep preset serializes to TOML and
  *    parses back to a spec whose expanded run matrix is content-hash
- *    identical — the property that lets checked-in spec files stand in
- *    for registry presets;
- *  - the shipped examples/specs/ files ARE those dumps, byte for byte,
- *    and parse back hash-identical (the same drift gate CI's `specs`
- *    job enforces);
+ *    identical;
+ *  - the embedded presets ARE the shipped examples/specs/ files, byte
+ *    for byte, in both directions (a stale build or a forgotten file
+ *    fails), and each is a canonical dump named after its file;
  *  - malformed input fails with file:line:col diagnostics;
  *  - JSON specs parse to the same matrix as their TOML equivalent;
  *  - LPT claim ordering never changes emitted CSV bytes, for any job
@@ -19,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -40,7 +40,7 @@ sweepPresetNames()
 {
     std::vector<std::string> names;
     for (const Preset& p : presets())
-        if (p.sweep)
+        if (!p.table)
             names.push_back(p.name);
     return names;
 }
@@ -108,7 +108,7 @@ expectParseError(const std::string& text, size_t line, size_t col,
 TEST(SpecFile, RoundTripsEveryPresetHashIdentical)
 {
     for (const std::string& name : sweepPresetNames()) {
-        SweepSpec original = findPreset(name)->sweep({});
+        SweepSpec original = findPreset(name)->spec();
         SweepSpec reparsed =
             parseSpecText(specToToml(original), name + ".toml");
 
@@ -127,37 +127,43 @@ TEST(SpecFile, RoundTripsEveryPresetHashIdentical)
 TEST(SpecFile, SerializationIsAFixpoint)
 {
     for (const std::string& name : sweepPresetNames()) {
-        std::string once = specToToml(findPreset(name)->sweep({}));
+        std::string once = specToToml(findPreset(name)->spec());
         std::string twice =
             specToToml(parseSpecText(once, name + ".toml"));
         EXPECT_EQ(once, twice) << name;
     }
 }
 
-TEST(SpecFile, ShippedSpecsMatchTheRegistryByteForByte)
+TEST(SpecFile, EmbeddedPresetsAreTheShippedSpecFiles)
 {
 #ifndef VORTEX_SPECS_DIR
     GTEST_SKIP() << "VORTEX_SPECS_DIR not configured";
 #else
-    for (const std::string& name : sweepPresetNames()) {
-        std::string path =
-            std::string(VORTEX_SPECS_DIR) + "/" + name + ".toml";
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in) << "missing shipped spec " << path
-                        << " (regenerate: vortex_sweep --preset " << name
-                        << " --dump-spec " << path << ")";
+    // The same set in both directions: a spec file the build did not
+    // embed (stale build) or an embedded preset whose file is gone.
+    std::vector<std::string> files;
+    for (const auto& e :
+         std::filesystem::directory_iterator(VORTEX_SPECS_DIR))
+        if (e.path().extension() == ".toml")
+            files.push_back(e.path().stem().string());
+    std::sort(files.begin(), files.end());
+    ASSERT_EQ(files, sweepPresetNames()) << "rebuild to re-embed "
+                                         << VORTEX_SPECS_DIR;
+
+    for (const std::string& name : files) {
+        const Preset& preset = *findPreset(name);
+        std::ifstream in(
+            std::string(VORTEX_SPECS_DIR) + "/" + name + ".toml",
+            std::ios::binary);
         std::ostringstream buf;
         buf << in.rdbuf();
-
-        SweepSpec preset = findPreset(name)->sweep({});
-        // The shipped file is exactly the canonical dump...
-        EXPECT_EQ(buf.str(), specToToml(preset))
-            << path << " drifted from the registry preset; regenerate "
-            << "it with --dump-spec";
-        // ...and parses back to the same campaign.
-        SweepSpec parsed = parseSpecFile(path);
-        EXPECT_EQ(parsed.name, name);
-        EXPECT_EQ(matrixHashes(parsed), matrixHashes(preset)) << path;
+        // The embedded text is the file, byte for byte...
+        EXPECT_EQ(preset.text, buf.str()) << name;
+        // ...a canonical dump (dump -> parse -> dump is a fixpoint)...
+        SweepSpec spec = preset.spec();
+        EXPECT_EQ(specToToml(spec), preset.text) << name;
+        // ...and named after its file.
+        EXPECT_EQ(spec.name, name);
     }
 #endif
 }
@@ -243,7 +249,7 @@ TEST(SpecFile, CrlfLineEndingsParseLikeLf)
 {
     // A spec checked out with Windows line endings (git autocrlf) must
     // parse identically to the LF original.
-    std::string lf = specToToml(findPreset("fig19")->sweep({}));
+    std::string lf = specToToml(findPreset("fig19")->spec());
     std::string crlf;
     for (char c : lf) {
         if (c == '\n')

@@ -16,9 +16,11 @@
 
 #include "common/log.h"
 #include "sweep/campaign.h"
+#include "sweep/cli.h"
 #include "sweep/presets.h"
 #include "sweep/report.h"
 #include "sweep/spec.h"
+#include "sweep/specfile.h"
 
 using namespace vortex;
 using namespace vortex::sweep;
@@ -87,7 +89,7 @@ TEST(SweepSpec, ExpansionWithNoAxesIsOneRun)
 TEST(SweepSpec, MultiFieldAxisPointsApplyTogether)
 {
     SweepSpec s;
-    s.axes.push_back(geometryAxis());
+    s.axes.push_back(findPreset("fig14")->spec().axes[1]); // geometry
     std::vector<RunSpec> runs = s.expand();
     ASSERT_EQ(runs.size(), 5u);
     EXPECT_EQ(runs[0].id(), "4W-4T");
@@ -389,9 +391,9 @@ TEST(Presets, RegistryCoversEveryPaperExperiment)
           "ablation_sched", "ablation_fsqrt"}) {
         const Preset* p = findPreset(name);
         ASSERT_NE(p, nullptr) << name;
-        EXPECT_TRUE(p->sweep || p->table) << name;
-        if (p->sweep) {
-            SweepSpec spec = p->sweep({});
+        EXPECT_EQ(p->text.empty(), p->table != nullptr) << name;
+        if (!p->table) {
+            SweepSpec spec = p->spec();
             EXPECT_EQ(spec.name, name);
             EXPECT_GT(spec.runCount(), 1u) << name;
             // Expansion must succeed (all field names resolve).
@@ -403,21 +405,37 @@ TEST(Presets, RegistryCoversEveryPaperExperiment)
     }
     EXPECT_EQ(findPreset("no_such_preset"), nullptr);
 
-    // Parameterized presets accept their --arg keys and reject others.
-    SweepSpec big = findPreset("fig20")->sweep({{"size", "128"}});
+    // Presets take their variants as --set base-field overrides: the
+    // fig20 render target and fig21 at the paper's 16-core size.
+    auto dumpWithSets = [](const std::vector<std::string>& cmd) {
+        std::string path = freshTempDir("presetset") + ".toml";
+        std::vector<std::string> args = {"specs", "dump"};
+        args.insert(args.end(), cmd.begin(), cmd.end());
+        args.push_back(path);
+        EXPECT_EQ(cliMain(args), 0);
+        SweepSpec spec = parseSpecFile(path);
+        std::filesystem::remove(path);
+        return spec;
+    };
+    SweepSpec big =
+        dumpWithSets({"--preset", "fig20", "--set", "texSize=128"});
     EXPECT_EQ(big.baseWorkload.texSize, 128u);
-    EXPECT_THROW(findPreset("fig20")->sweep({{"bogus", "1"}}),
-                 FatalError);
-    SweepSpec paper = findPreset("fig21")->sweep({{"paper", "1"}});
+    SweepSpec paper = dumpWithSets(
+        {"--preset", "fig21", "--set", "cores=16", "--set", "numWarps=16",
+         "--set", "numThreads=16"});
     EXPECT_EQ(paper.base.numCores, 16u);
-    EXPECT_THROW(findPreset("fig18")->sweep({{"size", "1"}}), FatalError);
+    EXPECT_TRUE(paper.base.l2Enabled);
+    EXPECT_EQ(paper.base.numWarps, 16u);
+    EXPECT_EQ(paper.base.numThreads, 16u);
+    // The old preset-parameter flag is an unknown argument.
+    EXPECT_EQ(cliMain({"run", "--preset", "fig20", "--arg", "size=128"}), 2);
 }
 
 TEST(Presets, Fig18MatrixMatchesThePaperMachines)
 {
     // The fig18 preset must reproduce the paper figure's machines:
     // baselineConfig(c) with the problem scaled x2 from 4 cores.
-    std::vector<RunSpec> runs = fig18Spec().expand();
+    std::vector<RunSpec> runs = findPreset("fig18")->spec().expand();
     ASSERT_EQ(runs.size(), 7u * 5u);
     const RunSpec& r16 = runs[4]; // sgemm x 16 cores
     EXPECT_EQ(r16.id(), "sgemm/16");

@@ -30,7 +30,7 @@ namespace {
 
 /** The self-checking guests; every file here must be green under
  *  `check = "selfcheck"` with zero per-workload C++ harness code. Keep
- *  in sync with the workload_zoo preset (src/sweep/presets.cpp). */
+ *  in sync with examples/specs/workload_zoo.toml. */
 const char* const kZoo[] = {"bitonic",        "reduce_tree",
                             "histogram",      "stress_barrier",
                             "stress_diverge", "stress_bank"};

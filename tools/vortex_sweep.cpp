@@ -16,7 +16,8 @@
  *   vortex_sweep specs dump --preset fig18 fig18.toml
  *
  * Legacy flat-flag spellings (`vortex_sweep --preset fig18`,
- * `--cache-prune`, `--list`, ...) keep working; see `vortex_sweep -h`.
+ * `--cache-prune`, `--list`, ...) keep working until 2027-04-01; see
+ * `vortex_sweep -h`.
  */
 
 #include <string>
