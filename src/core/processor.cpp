@@ -331,9 +331,8 @@ Processor::ipc() const
 void
 Processor::globalArrive(uint32_t id, uint32_t count, CoreId core, WarpId wid)
 {
-    // Called during the tick phase, possibly from a pool worker. Each core
-    // appends only to its own buffer, so no synchronization is needed; the
-    // arrivals are applied in core order in commitCrossCore().
+    // Called during the tick phase. Each core appends only to its own
+    // buffer; the arrivals are applied in core order in commitCrossCore().
     pendingArrivals_.at(core).push_back(PendingArrival{id, count, wid});
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * CacheStore implementation: v2 entry I/O, the manifest, pruning, and
- * cross-directory merge. See cache.h for the on-disk format.
+ * CacheStore implementation: v2 entry I/O, pruning, and cross-directory
+ * merge. See cache.h for the on-disk format.
  */
 
 #include "sweep/cache.h"
@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -26,8 +24,8 @@ namespace {
 
 // v2: "campaign" provenance line + the time-series block. v1 entries
 // fail the magic check and simply miss (the run is re-simulated).
-// Provenance lines added since (host_seconds, kernel, est_units) ride
-// the unknown-tag rule and do not bump the version.
+// Provenance lines added since (host_seconds, kernel) ride the
+// unknown-tag rule and do not bump the version.
 constexpr const char* kCacheMagic = "vortex-sweep-cache v2";
 
 /** Mirror of Processor::ipc() so cache-restored records reproduce the
@@ -38,15 +36,6 @@ ipcOf(uint64_t threadInstrs, uint64_t cycles)
     return cycles == 0 ? 0.0
                        : static_cast<double>(threadInstrs) /
                              static_cast<double>(cycles);
-}
-
-/** Shortest round-trippable formatting for stored doubles. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 /** A per-thread-unique temp-file suffix (rename is the commit point). */
@@ -74,26 +63,16 @@ mtimeSeconds(const std::filesystem::path& path)
     return sys.time_since_epoch().count();
 }
 
-/** @p epochSeconds as "YYYY-MM-DDThh:mm:ssZ". */
-std::string
-isoUtc(int64_t epochSeconds)
-{
-    std::time_t t = static_cast<std::time_t>(epochSeconds);
-    std::tm tm{};
-    gmtime_r(&t, &tm);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-    return buf;
-}
-
 /**
- * Validate one on-disk entry file for merging: correct magic, a `hash`
- * provenance line equal to @p expectHash (the file's basename), and a
- * complete `end`-terminated payload. Returns false on any defect.
+ * Validate one on-disk entry file: correct magic, a `hash` provenance
+ * line equal to @p expectHash (the file's basename), and a complete
+ * `end`-terminated payload. Returns false on any defect. When @p info is
+ * non-null the entry's provenance lines are read into it on the same
+ * pass.
  */
 bool
 validEntryFile(const std::filesystem::path& path,
-               const std::string& expectHash)
+               const std::string& expectHash, CacheEntryInfo* info = nullptr)
 {
     std::ifstream in(path);
     std::string line;
@@ -110,6 +89,16 @@ validEntryFile(const std::filesystem::path& path,
             hashOk = (h == expectHash);
         } else if (tag == "end") {
             complete = true;
+        } else if (!info) {
+            continue;
+        } else if (tag == "id") {
+            std::getline(ls >> std::ws, info->id);
+        } else if (tag == "campaign") {
+            std::getline(ls >> std::ws, info->campaign);
+        } else if (tag == "host_seconds") {
+            ls >> info->hostSeconds;
+        } else if (tag == "kernel") {
+            ls >> info->kernel;
         }
     }
     return hashOk && complete;
@@ -131,33 +120,6 @@ CacheStore::contains(const std::string& hash) const
     std::ifstream in(entryPath(hash));
     std::string line;
     return in && std::getline(in, line) && line == kCacheMagic;
-}
-
-double
-CacheStore::recordedHostSeconds(const std::string& hash) const
-{
-    if (!enabled())
-        return -1.0;
-    std::ifstream in(entryPath(hash));
-    std::string line;
-    if (!in || !std::getline(in, line) || line != kCacheMagic)
-        return -1.0;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "host_seconds") {
-            double s = 0.0;
-            ls >> s;
-            return s;
-        }
-        if (tag == "cycles")
-            break; // provenance lines precede the payload
-    }
-    // A valid entry that predates the host_seconds line: still a hit —
-    // report "recorded cost unknown", not "absent", so the scheduler
-    // prices it like any other hit.
-    return 0.0;
 }
 
 bool
@@ -247,14 +209,11 @@ CacheStore::store(const RunRecord& record,
         outf << "id " << record.spec.id() << "\n";
         outf << "campaign " << campaignName << "\n";
         // Provenance, not payload: what the simulation cost this host
-        // (host_seconds), which registry kernel it ran, and the static
-        // cost estimate at store time — together the calibration data
-        // of CostModel::fromCache. Readers that predate a tag ignore it
-        // (unknown-tag rule), so the cache format stays v2.
+        // and which registry kernel it ran (`cache list` prints both).
+        // Readers that predate a tag ignore it (unknown-tag rule), so the
+        // cache format stays v2.
         outf << "host_seconds " << fmtDouble(record.hostSeconds) << "\n";
         outf << "kernel " << workloadKernelName(record.spec.workload)
-             << "\n";
-        outf << "est_units " << fmtDouble(estimateRunCost(record.spec))
              << "\n";
         outf << "cycles " << record.result.cycles << "\n";
         outf << "thread_instrs " << record.result.threadInstrs << "\n";
@@ -294,32 +253,11 @@ CacheStore::entries() const
         // Same gate as load()/mergeFrom(): magic, hash matching the file
         // name, and a complete `end`-terminated payload — a torn entry
         // from a crash mid-write is invisible here too, not just a miss.
-        if (!validEntryFile(de.path().string(), de.path().stem().string()))
-            continue;
-        std::ifstream in(de.path());
-        std::string line;
-        if (!in || !std::getline(in, line) || line != kCacheMagic)
-            continue; // stale-format or foreign file; not an entry
         CacheEntryInfo info;
         info.hash = de.path().stem().string();
+        if (!validEntryFile(de.path(), info.hash, &info))
+            continue;
         info.mtime = mtimeSeconds(de.path());
-        while (std::getline(in, line)) {
-            std::istringstream ls(line);
-            std::string tag;
-            ls >> tag;
-            if (tag == "id")
-                std::getline(ls >> std::ws, info.id);
-            else if (tag == "campaign")
-                std::getline(ls >> std::ws, info.campaign);
-            else if (tag == "host_seconds")
-                ls >> info.hostSeconds;
-            else if (tag == "kernel")
-                ls >> info.kernel;
-            else if (tag == "est_units")
-                ls >> info.estUnits;
-            else if (tag == "cycles")
-                break; // provenance lines precede the payload
-        }
         out.push_back(std::move(info));
     }
     std::sort(out.begin(), out.end(),
@@ -327,38 +265,6 @@ CacheStore::entries() const
                   return a.hash < b.hash;
               });
     return out;
-}
-
-void
-CacheStore::writeManifest() const
-{
-    if (!enabled())
-        return;
-    std::vector<CacheEntryInfo> list = entries();
-    // Unlike cache entries (same hash -> same bytes), two processes'
-    // manifests can genuinely differ mid-churn, so the temp name must be
-    // unique across processes, not just threads.
-    const std::string path = dir_ + "/manifest.json";
-    const std::string tmp = path + tmpSuffix();
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return; // the manifest is best-effort metadata
-        os << "{\n  \"entries\": [\n";
-        for (size_t i = 0; i < list.size(); ++i) {
-            const CacheEntryInfo& e = list[i];
-            os << "    {\"hash\": \"" << jsonEscape(e.hash)
-               << "\", \"id\": \"" << jsonEscape(e.id)
-               << "\", \"campaign\": \"" << jsonEscape(e.campaign)
-               << "\", \"written\": \"" << isoUtc(e.mtime) << "\"}"
-               << (i + 1 < list.size() ? "," : "") << "\n";
-        }
-        os << "  ]\n}\n";
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-        std::filesystem::remove(tmp, ec);
 }
 
 size_t
@@ -382,8 +288,7 @@ CacheStore::prune(double olderThanDays) const
         const std::string fname = de.path().filename().string();
         // Sweep leftover temp files from interrupted writes regardless
         // of age; they are never valid entries.
-        if (fname.find(".run.tmp.") != std::string::npos ||
-            fname.find("manifest.json.tmp.") != std::string::npos) {
+        if (fname.find(".run.tmp.") != std::string::npos) {
             std::filesystem::remove(de.path(), ec);
             continue;
         }
@@ -404,7 +309,6 @@ CacheStore::prune(double olderThanDays) const
                 ++removed;
         }
     }
-    writeManifest();
     return removed;
 }
 
@@ -465,7 +369,6 @@ CacheStore::mergeFrom(const std::string& srcDir) const
         }
         ++stats.imported;
     }
-    writeManifest();
     return stats;
 }
 

@@ -3,7 +3,7 @@
  * CacheStore — the campaign result cache as an object.
  *
  * One CacheStore owns one cache directory: entry I/O (load/store of
- * RunRecords keyed by RunSpec::contentHash), the manifest, pruning, and
+ * RunRecords keyed by RunSpec::contentHash), pruning, and
  * — the fabric primitive — merge/import of entries from other cache
  * directories. It absorbs the free-function cache API that used to live
  * in campaign.h (removed after one release of deprecated forwarding
@@ -11,28 +11,27 @@
  * Campaign.
  *
  * On-disk format (unchanged from the free-function era — v2, one
- * `<hash>.run` text file per entry plus `manifest.json`):
+ * `<hash>.run` text file per entry):
  *
  *     vortex-sweep-cache v2
  *     hash <contentHash>            # provenance lines ...
  *     id <run id>
  *     campaign <campaign name>
  *     host_seconds <double>
- *     kernel <registry kernel name>  # since PR 8; older entries lack it
- *     est_units <double>             # static estimateRunCost at store time
+ *     kernel <registry kernel name>  # older entries lack it
  *     cycles <n>                     # ... payload lines
  *     thread_instrs <n>
  *     stat <key> <value>
  *     sample_interval / sample_cycles / series ...   # when sampled
  *     end
  *
- * Readers skip unknown tags, so adding provenance lines (host_seconds in
- * PR 4, kernel/est_units in PR 8) never bumps the version: old binaries
- * still hit on new entries and vice versa. Entries are content-addressed
- * — the same hash always describes the same simulation — which is what
- * makes cache directories *mergeable artifacts*: shipping shard caches
- * between hosts and merging them (mergeFrom) reconstructs exactly the
- * records a single host would have produced.
+ * Readers skip unknown tags, so adding or dropping provenance lines never
+ * bumps the version: old binaries still hit on new entries and vice
+ * versa (an entry carrying a since-dropped line still loads). Entries are
+ * content-addressed — the same hash always describes the same simulation
+ * — which is what makes cache directories *mergeable artifacts*: shipping
+ * shard caches between hosts and merging them (mergeFrom) reconstructs
+ * exactly the records a single host would have produced.
  *
  * All writes are atomic (temp file + rename), so concurrent campaigns —
  * or a campaign and a merge — may share a directory.
@@ -41,12 +40,24 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sweep/campaign.h"
 
 namespace vortex::sweep {
+
+/** One result-cache entry as listed by CacheStore::entries(). */
+struct CacheEntryInfo
+{
+    std::string hash;     ///< content hash (the file basename)
+    std::string id;       ///< run id recorded at store time
+    std::string campaign; ///< campaign name recorded at store time
+    int64_t mtime = 0;    ///< entry mtime, seconds since the Unix epoch
+    double hostSeconds = -1.0; ///< recorded wall-clock (-1 = not recorded)
+    std::string kernel;   ///< registry kernel name ("" on old entries)
+};
 
 /** Outcome of one CacheStore::mergeFrom call. */
 struct CacheMergeStats
@@ -93,8 +104,8 @@ class CacheStore
 
     /**
      * Store @p record under its spec's content hash, tagged with
-     * @p campaignName and the run's provenance (host_seconds, kernel,
-     * est_units — the cost-model calibration inputs). Only verified
+     * @p campaignName and the run's provenance (host_seconds, kernel —
+     * what `cache list` prints). Only verified
      * (ok) records are stored; writes are atomic and best-effort (a
      * failed write never fails the campaign). No-op when disabled.
      */
@@ -102,37 +113,20 @@ class CacheStore
                const std::string& campaignName) const;
 
     /** Whether a valid entry for @p hash exists (magic check only — the
-     *  cheap scheduler probe; load() still arbitrates hits). */
+     *  cheap scheduler probe that prices a cached run at 0; load() still
+     *  arbitrates hits). */
     bool contains(const std::string& hash) const;
 
-    /**
-     * The simulation wall-clock seconds recorded for @p hash: negative
-     * when no valid entry exists, 0 for an entry predating the
-     * host_seconds provenance line. A non-negative return means load()
-     * will restore the run, so the scheduler prices it at (nearly)
-     * zero.
-     */
-    double recordedHostSeconds(const std::string& hash) const;
-
     /** All valid entries, sorted by hash (empty when the directory is
-     *  missing or the store is disabled). */
+     *  missing or the store is disabled). Reads each entry file once. */
     std::vector<CacheEntryInfo> entries() const;
-
-    /**
-     * Rewrite `manifest.json` from the entries on disk: one object per
-     * cached record (hash, run id, campaign, ISO-8601 UTC timestamp).
-     * Atomic and self-healing — it reflects whatever entries exist,
-     * including ones written by other campaigns or merged from other
-     * hosts. Campaign::run refreshes it after every cached campaign.
-     */
-    void writeManifest() const;
 
     /**
      * Delete cached records: all of them, or with @p olderThanDays >= 0
      * only those whose mtime is older than that many days. Torn entries
      * — bad magic, hash not matching the file name, missing `end`
      * terminator (a crash mid-write) — are swept regardless of age, as
-     * are leftover temp files; the manifest is rewritten at the end.
+     * are leftover temp files.
      * @return the number of records removed.
      */
     size_t prune(double olderThanDays = -1.0) const;
@@ -145,8 +139,8 @@ class CacheStore
      * byte-for-byte via temp file + rename; entries whose hash already
      * exists here are skipped (content-addressed: same hash, same
      * simulation). Invalid entries are rejected, counted, and reported
-     * on stderr — never imported. The manifest is rewritten once at
-     * the end, so a crash mid-merge leaves a valid store.
+     * on stderr — never imported. Every import is its own atomic
+     * rename, so a crash mid-merge leaves a valid store.
      *
      * Merging the caches of shards 0..N-1 of a campaign and re-running
      * the full spec against the merged store is a 100%-hit, byte-

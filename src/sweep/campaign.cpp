@@ -1,7 +1,8 @@
 /**
  * @file
- * Campaign execution: job pool, shard slicing, the cost model, and
- * CSV/JSON emission. Cache entry I/O lives in sweep/cache.cpp.
+ * Campaign execution: shard slicing, run pricing, the longest-first job
+ * pool shared with the fabric service, and CSV/JSON emission. Cache
+ * entry I/O lives in sweep/cache.cpp.
  */
 
 #include "sweep/campaign.h"
@@ -26,19 +27,6 @@
 #include "sweep/report.h"
 
 namespace vortex::sweep {
-
-namespace {
-
-/** Shortest round-trippable formatting for the JSON doubles. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 double
 estimateRunCost(const RunSpec& spec)
@@ -84,82 +72,39 @@ estimateRunCost(const RunSpec& spec)
     return work * (1.0 + machine / 16.0);
 }
 
-CostModel
-CostModel::fromCache(const CacheStore& store)
+namespace {
+
+/** Indices of @p costs in descending cost order, lower index first on
+ *  ties: the claim order of runLongestFirst and the packing order of
+ *  shardAssignment. */
+std::vector<size_t>
+longestFirstOrder(const std::vector<double>& costs)
 {
-    CostModel model;
-    // Per-kernel (host-seconds, estimate-units) accumulators, ordered
-    // by first appearance in the hash-sorted entry list — deterministic
-    // for a given set of entries.
-    std::vector<std::pair<std::string, std::pair<double, double>>> acc;
-    double totalSec = 0.0, totalUnits = 0.0;
-    for (const CacheEntryInfo& e : store.entries()) {
-        // Only entries with full provenance calibrate: a measured
-        // wall-clock, a kernel name, and a positive static estimate.
-        // (Cache-restored re-stores never happen — hits are not
-        // rewritten — so host_seconds is always a real measurement.)
-        if (e.kernel.empty() || e.estUnits <= 0.0 || e.hostSeconds <= 0.0)
-            continue;
-        auto it = std::find_if(acc.begin(), acc.end(),
-                               [&](const auto& kv) {
-                                   return kv.first == e.kernel;
-                               });
-        if (it == acc.end()) {
-            acc.push_back({e.kernel, {0.0, 0.0}});
-            it = acc.end() - 1;
-        }
-        it->second.first += e.hostSeconds;
-        it->second.second += e.estUnits;
-        totalSec += e.hostSeconds;
-        totalUnits += e.estUnits;
-        ++model.samples_;
-    }
-    for (const auto& [kernel, sums] : acc)
-        if (sums.second > 0.0)
-            model.kernelScale_.push_back(
-                {kernel, sums.first / sums.second});
-    if (totalUnits > 0.0)
-        model.globalScale_ = totalSec / totalUnits;
-    return model;
+    std::vector<size_t> order(costs.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return costs[a] > costs[b]; });
+    return order;
 }
 
-double
-CostModel::cost(const RunSpec& spec) const
-{
-    double base = estimateRunCost(spec);
-    const std::string kernel = workloadKernelName(spec.workload);
-    for (const auto& [name, scale] : kernelScale_)
-        if (name == kernel)
-            return base * scale;
-    // Unseen kernel: the global factor keeps its cost in the same
-    // (seconds) unit system as the calibrated kernels, so LPT still
-    // ranks mixed matrices sensibly; with no data at all, every run is
-    // priced in raw static units — consistent again.
-    return globalScale_ > 0.0 ? base * globalScale_ : base;
-}
+} // namespace
 
 std::vector<uint32_t>
 shardAssignment(const std::vector<RunSpec>& runs, uint32_t shardCount)
 {
     if (shardCount == 0)
         fatal("shardAssignment: shard count must be >= 1");
-    // Greedy LPT bin-packing over the *static* cost heuristic (see the
-    // header for why it must not be cache-calibrated): heaviest run
-    // first onto the least-loaded shard, ties broken toward the lower
-    // index on both sides. Stable and host-independent.
-    std::vector<size_t> order(runs.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
+    // Greedy LPT bin-packing over the static cost heuristic (see the
+    // header for why it must not read the cache): heaviest run first
+    // onto the least-loaded shard, ties broken toward the lower index on
+    // both sides. Stable and host-independent.
     std::vector<double> costs(runs.size());
     for (size_t i = 0; i < runs.size(); ++i)
         costs[i] = estimateRunCost(runs[i]);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         return costs[a] > costs[b];
-                     });
     std::vector<uint32_t> shardOf(runs.size(), 0);
     std::vector<double> load(shardCount, 0.0);
-    for (size_t i : order) {
+    for (size_t i : longestFirstOrder(costs)) {
         uint32_t best = 0;
         for (uint32_t s = 1; s < shardCount; ++s)
             if (load[s] < load[best])
@@ -168,6 +113,65 @@ shardAssignment(const std::vector<RunSpec>& runs, uint32_t shardCount)
         load[best] += costs[i];
     }
     return shardOf;
+}
+
+std::vector<RunSpec>
+shardRuns(const SweepSpec& spec)
+{
+    // The assignment is a pure function of the expanded runs (static
+    // cost heuristic), so N hosts given i/N for i = 0..N-1 execute
+    // disjoint slices whose union is the full matrix.
+    const uint32_t count = std::max(spec.shardCount, 1u);
+    if (spec.shardIndex >= count)
+        fatal("campaign '", spec.name, "': shard index ", spec.shardIndex,
+              " out of range for ", count, " shard", count == 1 ? "" : "s");
+    std::vector<RunSpec> runs = spec.expand();
+    if (count == 1)
+        return runs;
+    std::vector<uint32_t> shardOf = shardAssignment(runs, count);
+    std::vector<RunSpec> mine;
+    for (size_t i = 0; i < runs.size(); ++i)
+        if (shardOf[i] == spec.shardIndex)
+            mine.push_back(std::move(runs[i]));
+    return mine;
+}
+
+std::vector<double>
+runCosts(const std::vector<RunSpec>& runs, const CacheStore& cache)
+{
+    std::vector<double> costs(runs.size());
+    for (size_t i = 0; i < runs.size(); ++i)
+        costs[i] = cache.contains(runs[i].contentHash())
+                       ? 0.0
+                       : estimateRunCost(runs[i]);
+    return costs;
+}
+
+void
+runLongestFirst(const std::vector<double>& costs, uint32_t jobs,
+                const std::function<void(size_t)>& body)
+{
+    // LPT (longest processing time first) shortens the critical path at
+    // high job counts: the most expensive runs start immediately instead
+    // of landing on a nearly-drained pool.
+    const std::vector<size_t> order = longestFirstOrder(costs);
+    std::atomic<size_t> cursor{0};
+    auto worker = [&] {
+        for (size_t slot = cursor++; slot < order.size(); slot = cursor++)
+            body(order[slot]);
+    };
+    if (jobs == 0)
+        jobs = std::max(1u, std::thread::hardware_concurrency());
+    size_t nworkers = std::min<size_t>(jobs, order.size());
+    if (nworkers <= 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> pool;
+    for (size_t t = 0; t < nworkers; ++t)
+        pool.emplace_back(worker);
+    for (std::thread& t : pool)
+        t.join();
 }
 
 double
@@ -434,30 +438,9 @@ verifyRuns(const std::string& campaignName,
 CampaignResult
 Campaign::run(const SweepSpec& spec)
 {
-    std::vector<RunSpec> runs = spec.expand();
+    std::vector<RunSpec> runs = shardRuns(spec);
     if (opts_.verify)
         verifyRuns(spec.name, runs);
-
-    // Fabric sharding: keep only this shard's slice of the matrix. The
-    // assignment is a pure function of the expanded runs (static cost
-    // heuristic), so N hosts given i/N for i = 0..N-1 execute disjoint
-    // slices whose union is the full matrix.
-    if (opts_.shardCount > 1) {
-        if (opts_.shardIndex >= opts_.shardCount)
-            fatal("campaign '", spec.name, "': shard index ",
-                  opts_.shardIndex, " out of range for ",
-                  opts_.shardCount, " shards");
-        std::vector<uint32_t> shardOf =
-            shardAssignment(runs, opts_.shardCount);
-        std::vector<RunSpec> mine;
-        for (size_t i = 0; i < runs.size(); ++i)
-            if (shardOf[i] == opts_.shardIndex)
-                mine.push_back(std::move(runs[i]));
-        runs = std::move(mine);
-    } else if (opts_.shardCount == 1 && opts_.shardIndex != 0) {
-        fatal("campaign '", spec.name, "': shard index ",
-              opts_.shardIndex, " out of range for 1 shard");
-    }
 
     CampaignResult result;
     result.name = spec.name;
@@ -465,38 +448,14 @@ Campaign::run(const SweepSpec& spec)
         result.axisNames.push_back(a.name);
     result.records.resize(runs.size());
 
-    // Claim order. LPT (longest processing time first) shortens the
-    // critical path at high job counts: the most expensive simulations
-    // start immediately instead of landing on a nearly-drained pool.
-    // Scheduling only — records are stored at their matrix index and
+    // Claim order only: records are stored at their matrix index and
     // emitted in matrix order, so output bytes cannot depend on it.
-    // Costs: a run already in the result cache restores in microseconds
-    // (price ~0, claimed last); everything else is priced by the cost
-    // model — calibrated from the cache's recorded host_seconds
-    // provenance when data exists, the static estimateRunCost heuristic
-    // otherwise. Sort is stable with an index tiebreak.
     CacheStore cache(opts_.cacheDir);
-    CostModel model =
-        cache.enabled() ? CostModel::fromCache(cache) : CostModel();
-    std::vector<double> costs(runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-        bool cached =
-            cache.recordedHostSeconds(runs[i].contentHash()) >= 0.0;
-        costs[i] = cached ? 0.0 : model.cost(runs[i]);
-    }
-    std::vector<size_t> order(runs.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    if (opts_.lpt)
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             return costs[a] > costs[b];
-                         });
+    const std::vector<double> costs = runCosts(runs, cache);
     double totalCost = 0.0;
     for (double c : costs)
         totalCost += c;
 
-    std::atomic<size_t> cursor{0};
     std::atomic<uint32_t> hits{0}, misses{0};
     std::vector<std::exception_ptr> errors(runs.size());
     std::mutex io;
@@ -504,91 +463,69 @@ Campaign::run(const SweepSpec& spec)
     double doneCost = 0.0;   // guarded by io
     const auto wallStart = std::chrono::steady_clock::now();
 
-    auto worker = [&] {
-        while (true) {
-            size_t slot = cursor.fetch_add(1);
-            if (slot >= order.size())
-                return;
-            size_t i = order[slot];
-            try {
-                RunRecord rec;
-                if (cache.load(runs[i], rec)) {
-                    ++hits;
-                } else {
-                    rec = executeRun(runs[i]);
-                    if (!rec.result.ok && opts_.failFast)
-                        fatal("campaign '", spec.name, "' run '",
-                              runs[i].id(), "' failed (",
-                              statusName(rec.result.status),
-                              "): ", rec.result.error);
-                    // Only verified runs enter the cache: a failed run
-                    // is re-executed by the next campaign, so cache
-                    // state can never mask — or resurrect — a failure,
-                    // and warm-vs-cold output bytes stay identical.
-                    if (rec.result.ok)
-                        cache.store(rec, spec.name);
-                    ++misses;
-                }
-                if (opts_.verbose || opts_.progress) {
-                    std::lock_guard<std::mutex> lk(io);
-                    ++doneCount;
-                    doneCost += costs[i];
-                    std::string eta;
-                    if (opts_.progress) {
-                        double elapsed =
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                wallStart)
-                                .count();
-                        char buf[64];
-                        // Extrapolate from estimate units actually
-                        // retired so far; until a costed run finishes
-                        // there is nothing to extrapolate from.
-                        if (doneCost > 0.0 && totalCost > doneCost)
-                            std::snprintf(buf, sizeof(buf),
-                                          " elapsed=%.1fs eta=%.1fs",
-                                          elapsed,
-                                          elapsed * (totalCost - doneCost) /
-                                              doneCost);
-                        else
-                            std::snprintf(buf, sizeof(buf),
-                                          " elapsed=%.1fs", elapsed);
-                        eta = buf;
-                    }
-                    std::string failNote;
-                    if (!rec.result.ok)
-                        failNote = std::string(" FAILED (") +
-                                   statusName(rec.result.status) + ")";
-                    std::fprintf(stderr,
-                                 "[%zu/%zu] %-28s %s cycles=%llu "
-                                 "ipc=%.3f%s%s%s\n",
-                                 doneCount, runs.size(),
-                                 rec.spec.id().c_str(),
-                                 rec.spec.workload.describe().c_str(),
-                                 static_cast<unsigned long long>(
-                                     rec.result.cycles),
-                                 rec.result.ipc,
-                                 rec.fromCache ? " (cached)" : "",
-                                 failNote.c_str(), eta.c_str());
-                }
-                result.records[i] = std::move(rec);
-            } catch (...) {
-                errors[i] = std::current_exception();
+    runLongestFirst(costs, opts_.jobs, [&](size_t i) {
+        try {
+            RunRecord rec;
+            if (cache.load(runs[i], rec)) {
+                ++hits;
+            } else {
+                rec = executeRun(runs[i]);
+                if (!rec.result.ok && opts_.failFast)
+                    fatal("campaign '", spec.name, "' run '", runs[i].id(),
+                          "' failed (", statusName(rec.result.status),
+                          "): ", rec.result.error);
+                // Only verified runs enter the cache: a failed run is
+                // re-executed by the next campaign, so cache state can
+                // never mask — or resurrect — a failure, and warm-vs-cold
+                // output bytes stay identical.
+                if (rec.result.ok)
+                    cache.store(rec, spec.name);
+                ++misses;
             }
+            if (opts_.verbose || opts_.progress) {
+                std::lock_guard<std::mutex> lk(io);
+                ++doneCount;
+                doneCost += costs[i];
+                std::string eta;
+                if (opts_.progress) {
+                    double elapsed = std::chrono::duration<double>(
+                                         std::chrono::steady_clock::now() -
+                                         wallStart)
+                                         .count();
+                    char buf[64];
+                    // Extrapolate from estimate units actually retired so
+                    // far; until a costed run finishes there is nothing
+                    // to extrapolate from.
+                    if (doneCost > 0.0 && totalCost > doneCost)
+                        std::snprintf(buf, sizeof(buf),
+                                      " elapsed=%.1fs eta=%.1fs", elapsed,
+                                      elapsed * (totalCost - doneCost) /
+                                          doneCost);
+                    else
+                        std::snprintf(buf, sizeof(buf), " elapsed=%.1fs",
+                                      elapsed);
+                    eta = buf;
+                }
+                std::string failNote;
+                if (!rec.result.ok)
+                    failNote = std::string(" FAILED (") +
+                               statusName(rec.result.status) + ")";
+                std::fprintf(stderr,
+                             "[%zu/%zu] %-28s %s cycles=%llu "
+                             "ipc=%.3f%s%s%s\n",
+                             doneCount, runs.size(), rec.spec.id().c_str(),
+                             rec.spec.workload.describe().c_str(),
+                             static_cast<unsigned long long>(
+                                 rec.result.cycles),
+                             rec.result.ipc,
+                             rec.fromCache ? " (cached)" : "",
+                             failNote.c_str(), eta.c_str());
+            }
+            result.records[i] = std::move(rec);
+        } catch (...) {
+            errors[i] = std::current_exception();
         }
-    };
-
-    uint32_t nworkers = static_cast<uint32_t>(
-        std::min<size_t>(opts_.jobs, std::max<size_t>(runs.size(), 1)));
-    if (nworkers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        for (uint32_t t = 0; t < nworkers; ++t)
-            pool.emplace_back(worker);
-        for (std::thread& t : pool)
-            t.join();
-    }
+    });
 
     // Deterministic error reporting: the lowest-index failure wins, no
     // matter which worker hit it first.
@@ -598,9 +535,6 @@ Campaign::run(const SweepSpec& spec)
 
     result.cacheHits = hits;
     result.cacheMisses = misses;
-    // Keep the cache's manifest in sync with what is now on disk.
-    if (cache.enabled())
-        cache.writeManifest();
     return result;
 }
 

@@ -9,26 +9,26 @@
  * (CSV/JSON/reports) walks the records in matrix order. Campaign output is therefore byte-identical
  * for any job count — `--jobs 4` only changes wall-clock time.
  *
- * Scheduling (CampaignOptions::lpt, default on) reorders only the claim
- * sequence: runs are claimed longest-estimated-first (LPT) so the most
- * expensive simulations cannot strand the pool at the tail. The cost of
- * a run is the result cache's recorded wall-clock when the run will be
- * a hit (~0: it restores instead of simulating) and the deterministic
- * estimateRunCost heuristic otherwise; the same costs drive the
- * CampaignOptions::progress ETA. Because storage and emission stay in
- * matrix order, LPT is invisible in every output byte.
+ * Scheduling reorders only the claim sequence: runs are claimed
+ * longest-estimated-first (LPT, runLongestFirst) so the most expensive
+ * simulations cannot strand the pool at the tail. A run the result cache
+ * holds is priced 0 (it restores instead of simulating) and every other
+ * run by the deterministic estimateRunCost heuristic (runCosts); the
+ * same costs drive the CampaignOptions::progress ETA. Because storage
+ * and emission stay in matrix order, LPT is invisible in every output
+ * byte.
  *
  * Result cache: a run's cache key is the content hash of its canonical
  * (config, workload) serialization (RunSpec::contentHash). Cached records
  * store the counters and metrics of the finished run; a hit skips the
  * simulation entirely. Only verified (ok) runs are cached. Entry I/O,
- * the manifest, pruning, and cross-host merge all live in the CacheStore
- * class (sweep/cache.h); the Campaign constructs one over
+ * pruning, and cross-host merge all live in the CacheStore class
+ * (sweep/cache.h); the Campaign constructs one over
  * CampaignOptions::cacheDir. Writes are atomic (temp file + rename) so
  * concurrent campaigns may share a cache directory.
  *
- * Sharding (CampaignOptions::shardIndex/shardCount) and the service
- * mode built on top of this engine are the campaign fabric — see
+ * Sharding (SweepSpec::shardIndex/shardCount, read by shardRuns) and the
+ * service mode built on the same run loop are the campaign fabric — see
  * sweep/fabric.h and docs/FABRIC.md.
  */
 
@@ -51,21 +51,8 @@ struct CampaignOptions
     uint32_t jobs = 1;    ///< concurrent runs; 0 = host hardware threads
     std::string cacheDir; ///< result-cache directory ("" disables caching)
     bool verbose = false; ///< per-run progress lines on stderr
-    /** Fabric shard selector: with shardCount > 1 the campaign executes
-     *  only the runs shardAssignment() maps to shardIndex — a disjoint,
-     *  LPT-balanced slice of the matrix; the union of all shards is the
-     *  full matrix. 0/0 (the default) runs everything. Records are
-     *  still stored and emitted in matrix order, so a shard's outputs
-     *  are the matching subset of the unsharded bytes. */
-    uint32_t shardIndex = 0;
-    uint32_t shardCount = 0; ///< total shards (0 or 1 = unsharded)
-    /** Claim runs longest-estimated-first (LPT) instead of in matrix
-     *  order. Scheduling only — records are still stored and emitted in
-     *  matrix order, so output bytes are unchanged (the determinism
-     *  contract). Costs come from estimateRunCost(). */
-    bool lpt = true;
     /** Append an elapsed/ETA estimate to each per-run stderr line, from
-     *  the same cost estimates LPT schedules with. */
+     *  the same costs runs are claimed by (runCosts). */
     bool progress = false;
     /** Statically verify every distinct (kernel, machine) pair of the
      *  matrix before scheduling any run (see src/analysis/). Fatal on
@@ -166,64 +153,48 @@ double estimateRunCost(const RunSpec& spec);
 class CacheStore; // sweep/cache.h
 
 /**
- * Per-kernel calibration of estimateRunCost() against recorded cache
- * provenance — the fleet scheduler's cost model. Every v2 cache entry
- * records the run's measured wall-clock (host_seconds), its registry
- * kernel name, and the static estimate at store time (est_units);
- * fromCache() fits one seconds-per-estimate-unit scale factor per
- * kernel (plus a global factor over all kernels) from those triples.
- *
- * cost() then prices a run as static-estimate x kernel factor — real
- * recorded seconds shape the LPT schedule and the --progress ETA — and
- * falls back to the global factor for kernels with no recorded data,
- * or to the raw static heuristic when the store holds no data at all.
- * Entries written before the kernel/est_units provenance lines simply
- * contribute nothing. Like the static heuristic, the model only orders
- * work: a stale fit can lengthen the critical path, never change a
- * single output byte.
- */
-class CostModel
-{
-  public:
-    /** The uncalibrated model: cost() is estimateRunCost() exactly. */
-    CostModel() = default;
-
-    /** Fit a model from @p store's entry provenance (see class docs).
-     *  Deterministic for a given set of entries. */
-    static CostModel fromCache(const CacheStore& store);
-
-    /** Estimated host cost of @p spec: seconds when calibrated for its
-     *  kernel (or globally), estimateRunCost() units otherwise. */
-    double cost(const RunSpec& spec) const;
-
-    /** Number of cache entries the fit consumed (0 = uncalibrated). */
-    size_t sampleCount() const { return samples_; }
-
-    /** Whether any recorded provenance shaped this model. */
-    bool calibrated() const { return samples_ > 0; }
-
-  private:
-    /** kernel name -> recorded seconds per static estimate unit. */
-    std::vector<std::pair<std::string, double>> kernelScale_;
-    double globalScale_ = 0.0; ///< all-kernel fallback factor (0 = none)
-    size_t samples_ = 0;       ///< entries consumed by the fit
-};
-
-/**
  * Deterministic shard assignment of @p runs over @p shardCount shards:
  * returns one shard index per run (matrix order). Assignment is greedy
  * LPT bin-packing — runs are taken in descending estimateRunCost()
  * order (stable, index tiebreak) and each lands on the least-loaded
  * shard (lowest index on ties) — so shard workloads are balanced, every
  * run lands on exactly one shard, and the union over shards is the full
- * matrix. On purpose this uses the *static* cost heuristic, never a
- * cache-calibrated model: every host of a fleet must compute the same
+ * matrix. It prices runs with the static heuristic alone, never with
+ * the result cache: every host of a fleet must compute the same
  * partition from the spec alone, regardless of local cache state. (All
  * hosts must also run the same simulator build — the heuristic is code,
  * not spec data.) Fatal when @p shardCount is 0.
  */
 std::vector<uint32_t> shardAssignment(const std::vector<RunSpec>& runs,
                                       uint32_t shardCount);
+
+/**
+ * The runs of @p spec this host executes, in matrix order: spec.expand()
+ * kept to the runs shardAssignment() maps to spec.shardIndex of
+ * spec.shardCount (all of them when unsharded). Fatal on a shard index
+ * out of range. Campaign::run and the fabric service both start here.
+ */
+std::vector<RunSpec> shardRuns(const SweepSpec& spec);
+
+/**
+ * The claim price of each of @p runs: 0 when @p cache holds the run (it
+ * restores instead of simulating, so it is claimed last), and
+ * estimateRunCost() otherwise.
+ */
+std::vector<double> runCosts(const std::vector<RunSpec>& runs,
+                             const CacheStore& cache);
+
+/**
+ * Call @p body(i) once for every index i of @p costs, claimed
+ * longest-first: a stable descending order over the costs (lower index
+ * first on ties) feeds an atomic cursor that min(jobs, n) threads claim
+ * from (jobs == 0 = host hardware threads; with one thread the calling
+ * thread runs every body). Returns when every body has returned. The
+ * body must not throw: it catches its own exceptions and stores results
+ * by index, so the claim order never shows in what it produces.
+ */
+void runLongestFirst(const std::vector<double>& costs, uint32_t jobs,
+                     const std::function<void(size_t)>& body);
 
 /**
  * Simulate @p spec on a fresh Device and return the finished record
@@ -242,20 +213,6 @@ std::vector<uint32_t> shardAssignment(const std::vector<RunSpec>& runs,
 RunRecord executeRun(const RunSpec& spec,
                      std::function<bool()> abortCheck = {});
 
-/** One result-cache entry as listed by CacheStore::entries(). (Defined
- *  here rather than in cache.h because campaign code is its main
- *  consumer; cache.h forward-includes campaign.h for it.) */
-struct CacheEntryInfo
-{
-    std::string hash;     ///< content hash (the file basename)
-    std::string id;       ///< run id recorded at store time
-    std::string campaign; ///< campaign name recorded at store time
-    int64_t mtime = 0;    ///< entry mtime, seconds since the Unix epoch
-    double hostSeconds = -1.0; ///< recorded wall-clock (-1 = not recorded)
-    std::string kernel;   ///< registry kernel name ("" on old entries)
-    double estUnits = 0.0; ///< static cost estimate at store time (0 = none)
-};
-
 /** Executes SweepSpecs; see the file comment for the determinism and
  *  caching contracts. */
 class Campaign
@@ -264,8 +221,8 @@ class Campaign
     explicit Campaign(CampaignOptions opts = {});
 
     /** Expand @p spec and execute every run (or restore it from cache).
-     *  With CampaignOptions::shardCount > 1, executes only this shard's
-     *  slice of the matrix. A failed run (timeout, guest trap,
+     *  With SweepSpec::shardCount > 1, executes only that shard's slice
+     *  of the matrix (shardRuns). A failed run (timeout, guest trap,
      *  self-check failure, host error, verification mismatch) is
      *  recorded as a result row with its RunStatus and the campaign
      *  completes the rest of the matrix — failed runs are never cached,

@@ -72,9 +72,6 @@ usage(int code)
         "  --verify             statically verify every kernel/machine\n"
         "                       pair before running (vortex_verify's\n"
         "                       checks); fatal on analysis errors\n"
-        "  --no-lpt             claim runs in matrix order instead of\n"
-        "                       longest-first (output is identical either\n"
-        "                       way; LPT only shortens wall-clock)\n"
         "  --sample N           snapshot device counters every N cycles\n"
         "                       (shorthand for --set sampleInterval=N)\n"
         "  --timeseries PATH    emit the per-interval counter time series\n"
@@ -242,8 +239,6 @@ parseRunArgs(RunArgs& o, const std::vector<std::string>& args, size_t start,
             o.dumpSpecPath = next();
         else if (a == "--progress")
             o.opts.progress = true;
-        else if (a == "--no-lpt")
-            o.opts.lpt = false;
         else if (a == "--verify")
             o.opts.verify = true;
         else if (a == "--axis")
@@ -324,8 +319,7 @@ cachePruneCmd(const std::string& dir, const std::string& olderThan)
     size_t removed = store.prune(days);
     size_t left = store.entries().size();
     std::fprintf(stderr,
-                 "cache %s: pruned %zu entr%s, %zu left "
-                 "(manifest.json rewritten)\n",
+                 "cache %s: pruned %zu entr%s, %zu left\n",
                  dir.c_str(), removed, removed == 1 ? "y" : "ies", left);
     return 0;
 }
@@ -623,8 +617,6 @@ execRun(RunArgs& o)
     if (!o.shardArg.empty())
         parseShardValue("--shard", o.shardArg, spec.shardIndex,
                         spec.shardCount);
-    o.opts.shardIndex = spec.shardIndex;
-    o.opts.shardCount = spec.shardCount;
     if (!o.dumpSpecPath.empty()) {
         // Export instead of run: the resolved sweep (preset, spec
         // file, or ad-hoc axes, with --set/--sample/--shard folded in)
@@ -652,9 +644,9 @@ execRun(RunArgs& o)
 
     Campaign campaign(o.opts);
     std::string shardNote;
-    if (o.opts.shardCount > 1)
-        shardNote = " [shard " + std::to_string(o.opts.shardIndex) + "/" +
-                    std::to_string(o.opts.shardCount) + "]";
+    if (spec.shardCount > 1)
+        shardNote = " [shard " + std::to_string(spec.shardIndex) + "/" +
+                    std::to_string(spec.shardCount) + "]";
     std::fprintf(stderr, "campaign '%s': %zu runs, %u jobs%s%s\n",
                  spec.name.c_str(), spec.runCount(),
                  campaign.options().jobs,
@@ -682,7 +674,7 @@ execRun(RunArgs& o)
 
     // Figure-shaped reports need the full matrix; a shard holds only
     // its slice, so reports come from the post-merge full rerun.
-    if (report && o.opts.shardCount <= 1)
+    if (report && spec.shardCount <= 1)
         report(result).print(std::cout);
     if (!o.opts.cacheDir.empty())
         std::fprintf(stderr, "cache: %u hit%s, %u miss%s\n",

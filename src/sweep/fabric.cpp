@@ -40,16 +40,6 @@ namespace vortex::sweep {
 
 namespace {
 
-/** %.17g (shortest round-trip-safe) double text, matching the cache
- *  entry format. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 //
 // Socket plumbing.
 //
@@ -480,8 +470,9 @@ struct Service::Impl
         return rec;
     }
 
-    /** Serve one `submit` request: expand, schedule LPT, resolve every
-     *  run, stream events. @p writeMu serializes lines to @p fd. */
+    /** Serve one `submit` request: take the spec's shard of the matrix,
+     *  resolve every run longest-first on the shared run loop, stream
+     *  events. @p writeMu serializes lines to @p fd. */
     void handleSubmit(int fd, std::mutex& writeMu,
                       const std::vector<JsonField>& fields)
     {
@@ -519,16 +510,7 @@ struct Service::Impl
 
         std::vector<RunSpec> runs;
         try {
-            runs = spec.expand();
-            if (spec.shardCount > 1) {
-                std::vector<uint32_t> shardOf =
-                    shardAssignment(runs, spec.shardCount);
-                std::vector<RunSpec> mine;
-                for (size_t i = 0; i < runs.size(); ++i)
-                    if (shardOf[i] == spec.shardIndex)
-                        mine.push_back(std::move(runs[i]));
-                runs = std::move(mine);
-            }
+            runs = shardRuns(spec);
         } catch (const FatalError& e) {
             emitError(e.what());
             return;
@@ -544,19 +526,6 @@ struct Service::Impl
              jsonEscape(spec.name) + "\", \"runs\": " +
              std::to_string(runs.size()) + "}");
 
-        // LPT claim order over the calibrated cost model (scheduling
-        // only: events still carry matrix indices).
-        CostModel model =
-            cache.enabled() ? CostModel::fromCache(cache) : CostModel();
-        std::vector<size_t> order(runs.size());
-        for (size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::vector<double> costs(runs.size());
-        for (size_t i = 0; i < runs.size(); ++i)
-            costs[i] = model.cost(runs[i]);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) { return costs[a] > costs[b]; });
-
         uint64_t nSimulated = 0;
         uint64_t nCacheHits = 0;
         uint64_t nDedup = 0;
@@ -564,62 +533,42 @@ struct Service::Impl
         size_t firstErrorIndex = runs.size();
         std::mutex subMu; // guards the submission-local counters above
 
-        std::atomic<size_t> cursor{0};
-        uint32_t workers = opts.jobs ? opts.jobs
-                                     : std::max(1u, std::thread::hardware_concurrency());
-        workers = static_cast<uint32_t>(
-            std::min<size_t>(workers, std::max<size_t>(runs.size(), 1)));
-        auto work = [&] {
-            for (;;) {
-                size_t slot = cursor.fetch_add(1);
-                if (slot >= order.size())
-                    return;
-                size_t i = order[slot];
-                Origin origin = Origin::Simulated;
-                RunRecord rec = resolveRun(runs[i], spec.name, origin);
-                {
-                    std::lock_guard<std::mutex> lk(subMu);
-                    switch (origin) {
-                    case Origin::Memo:
-                    case Origin::Cache: ++nCacheHits; break;
-                    case Origin::Dedup: ++nDedup; break;
-                    case Origin::Simulated: ++nSimulated; break;
-                    }
-                    if (!rec.result.ok && i < firstErrorIndex) {
-                        firstErrorIndex = i;
-                        firstError = "run " + rec.spec.id() + " failed (" +
-                                     statusName(rec.result.status) +
-                                     "): " + rec.result.error;
-                    }
+        // Events carry each run's index in `runs`, so the claim order
+        // never shows in what a client receives.
+        runLongestFirst(runCosts(runs, cache), opts.jobs, [&](size_t i) {
+            Origin origin = Origin::Simulated;
+            RunRecord rec = resolveRun(runs[i], spec.name, origin);
+            {
+                std::lock_guard<std::mutex> lk(subMu);
+                switch (origin) {
+                case Origin::Memo:
+                case Origin::Cache: ++nCacheHits; break;
+                case Origin::Dedup: ++nDedup; break;
+                case Origin::Simulated: ++nSimulated; break;
                 }
-                std::ostringstream ev;
-                ev << "{\"event\": \"run\", \"index\": " << i
-                   << ", \"id\": \"" << jsonEscape(rec.spec.id())
-                   << "\", \"hash\": \"" << rec.spec.contentHash()
-                   << "\", \"source\": \"" << originName(origin)
-                   << "\", \"ok\": " << (rec.result.ok ? "true" : "false")
-                   << ", \"status\": \"" << statusName(rec.result.status)
-                   << "\", \"cycles\": " << rec.result.cycles
-                   << ", \"thread_instrs\": " << rec.result.threadInstrs
-                   << ", \"ipc\": " << fmtDouble(rec.result.ipc) << "}";
-                emit(ev.str());
-                if (opts.verbose)
-                    inform("[fabric]   ", rec.spec.id(), " <- ",
-                           originName(origin));
+                if (!rec.result.ok && i < firstErrorIndex) {
+                    firstErrorIndex = i;
+                    firstError = "run " + rec.spec.id() + " failed (" +
+                                 statusName(rec.result.status) +
+                                 "): " + rec.result.error;
+                }
             }
-        };
-        if (workers <= 1 || runs.size() <= 1) {
-            work();
-        } else {
-            std::vector<std::thread> pool;
-            for (uint32_t w = 0; w < workers; ++w)
-                pool.emplace_back(work);
-            for (std::thread& t : pool)
-                t.join();
-        }
+            std::ostringstream ev;
+            ev << "{\"event\": \"run\", \"index\": " << i
+               << ", \"id\": \"" << jsonEscape(rec.spec.id())
+               << "\", \"hash\": \"" << rec.spec.contentHash()
+               << "\", \"source\": \"" << originName(origin)
+               << "\", \"ok\": " << (rec.result.ok ? "true" : "false")
+               << ", \"status\": \"" << statusName(rec.result.status)
+               << "\", \"cycles\": " << rec.result.cycles
+               << ", \"thread_instrs\": " << rec.result.threadInstrs
+               << ", \"ipc\": " << fmtDouble(rec.result.ipc) << "}";
+            emit(ev.str());
+            if (opts.verbose)
+                inform("[fabric]   ", rec.spec.id(), " <- ",
+                       originName(origin));
+        });
 
-        if (cache.enabled())
-            cache.writeManifest();
         if (!firstError.empty()) {
             emitError(firstError);
             return;

@@ -3,9 +3,11 @@
  * The campaign fabric's submission service: a long-running daemon that
  * accepts sweep-spec submissions from concurrent clients over a local
  * (AF_UNIX) stream socket, deduplicates identical (config, workload)
- * runs through the content-hash cache, schedules with the LPT cost
- * model, and streams per-run progress and results back as
- * newline-delimited JSON. docs/FABRIC.md is the wire-protocol and
+ * runs through the content-hash cache, and streams per-run progress and
+ * results back as newline-delimited JSON. A submission runs on the same
+ * loop as a local Campaign: shardRuns picks the spec's shard of the
+ * matrix, and runLongestFirst claims its runs by runCosts (both in
+ * sweep/campaign.h). docs/FABRIC.md is the wire-protocol and
  * workflow reference.
  *
  * Dedup semantics (the "N identical submissions -> 1 simulation"

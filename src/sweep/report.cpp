@@ -144,6 +144,14 @@ fmtF(double v, int prec)
 }
 
 std::string
+fmtDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
 fmtPct(double frac, int prec)
 {
     return fmtF(100.0 * frac, prec) + "%";

@@ -45,6 +45,9 @@ std::string jsonEscape(const std::string& s);
 
 /** Fixed-point formatting helpers used by preset reports. */
 std::string fmtF(double v, int prec);   ///< "%.<prec>f"
+/** "%.17g": the shortest text that round-trips @p v, for the JSON
+ *  emitters, the service's events and the cache entry format. */
+std::string fmtDouble(double v);
 std::string fmtPct(double frac, int prec); ///< fraction -> "12.3%"
 
 } // namespace vortex::sweep

@@ -2,15 +2,15 @@
  * @file
  * Campaign-fabric tests: shard partitioning (disjoint, exhaustive,
  * balanced), cache merge/import, byte-identical sharded reconstruction,
- * the CostModel calibration path, the [fabric] spec key, the submission
- * service's dedup contract, and the CLI compat guarantees (legacy flag
- * spellings vs subcommands).
+ * the [fabric] spec key, the submission service's dedup contract and its
+ * agreement with a local Campaign on a shard, and the CLI compat
+ * guarantees (legacy flag spellings vs subcommands).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -154,6 +154,30 @@ rawSendLine(int fd, const std::string& line)
            static_cast<ssize_t>(out.size());
 }
 
+/** The bare-number field @p key of an NDJSON event line; -1 when the
+ *  line has no such field. */
+long long
+eventNumber(const std::string& line, const std::string& key)
+{
+    const std::string tag = "\"" + key + "\": ";
+    size_t at = line.find(tag);
+    if (at == std::string::npos)
+        return -1;
+    return std::strtoll(line.c_str() + at + tag.size(), nullptr, 10);
+}
+
+/** The string field @p key of an NDJSON event line ("" when absent). */
+std::string
+eventString(const std::string& line, const std::string& key)
+{
+    const std::string tag = "\"" + key + "\": \"";
+    size_t at = line.find(tag);
+    if (at == std::string::npos)
+        return "";
+    at += tag.size();
+    return line.substr(at, line.find('"', at) - at);
+}
+
 } // namespace
 
 //
@@ -200,10 +224,10 @@ TEST(Shard, CampaignShardsArePairwiseDisjointAndCoverTheMatrix)
     std::set<std::string> seen;
     size_t total = 0;
     for (uint32_t i = 0; i < N; ++i) {
-        CampaignOptions opts;
-        opts.shardIndex = i;
-        opts.shardCount = N;
-        CampaignResult part = Campaign(opts).run(spec);
+        SweepSpec shard = spec;
+        shard.shardIndex = i;
+        shard.shardCount = N;
+        CampaignResult part = Campaign().run(shard);
         for (const RunRecord& rec : part.records) {
             // Disjoint: no run id appears in two shards.
             EXPECT_TRUE(seen.insert(rec.spec.id()).second) << rec.spec.id();
@@ -212,10 +236,10 @@ TEST(Shard, CampaignShardsArePairwiseDisjointAndCoverTheMatrix)
     }
     EXPECT_EQ(total, spec.runCount());
 
-    CampaignOptions bad;
+    SweepSpec bad = spec;
     bad.shardIndex = N;
     bad.shardCount = N;
-    EXPECT_THROW(Campaign(bad).run(spec), FatalError);
+    EXPECT_THROW(Campaign().run(bad), FatalError);
 }
 
 //
@@ -236,9 +260,10 @@ TEST(CacheMerge, ShardedCachesReconstructTheUnshardedBytes)
     for (uint32_t i = 0; i < 2; ++i) {
         CampaignOptions opts;
         opts.cacheDir = freshTempDir(("shard" + std::to_string(i)).c_str());
-        opts.shardIndex = i;
-        opts.shardCount = 2;
-        CampaignResult part = Campaign(opts).run(spec);
+        SweepSpec shard = spec;
+        shard.shardIndex = i;
+        shard.shardCount = 2;
+        CampaignResult part = Campaign(opts).run(shard);
         EXPECT_EQ(part.cacheHits, 0u);
         EXPECT_EQ(part.cacheMisses, part.records.size());
         shardDirs.push_back(opts.cacheDir);
@@ -303,53 +328,6 @@ TEST(CacheMerge, RejectsInvalidEntriesAndForeignHashes)
 
     std::filesystem::remove_all(src);
     std::filesystem::remove_all(dst);
-}
-
-//
-// Cost-model calibration.
-//
-
-TEST(CostModel, CalibratesFromCacheProvenanceWithStaticFallback)
-{
-    CostModel raw;
-    EXPECT_FALSE(raw.calibrated());
-
-    SweepSpec spec = tinySpec();
-    std::vector<RunSpec> runs = spec.expand();
-    // Uncalibrated: exactly the static heuristic.
-    for (const RunSpec& r : runs)
-        EXPECT_DOUBLE_EQ(raw.cost(r), estimateRunCost(r));
-
-    std::string dir = freshTempDir("cal");
-    CampaignOptions opts;
-    opts.cacheDir = dir;
-    Campaign(opts).run(spec);
-
-    CacheStore store(dir);
-    // The new provenance lines landed on disk...
-    for (const CacheEntryInfo& e : store.entries()) {
-        EXPECT_FALSE(e.kernel.empty());
-        EXPECT_GT(e.estUnits, 0.0);
-        EXPECT_GE(e.hostSeconds, 0.0);
-    }
-    // ...and the fitted model prices recorded kernels in seconds.
-    CostModel model = CostModel::fromCache(store);
-    EXPECT_TRUE(model.calibrated());
-    EXPECT_EQ(model.sampleCount(), 4u);
-    for (const RunSpec& r : runs) {
-        double c = model.cost(r);
-        EXPECT_GE(c, 0.0);
-        EXPECT_TRUE(std::isfinite(c));
-    }
-
-    // A kernel absent from the cache still gets a finite price (the
-    // global-scale fallback), so mixed matrices schedule sanely.
-    SweepSpec other = tinySpec();
-    other.axes[0] = Axis::sweep("kernel", {"sgemm"});
-    for (const RunSpec& r : other.expand())
-        EXPECT_GT(model.cost(r), 0.0);
-
-    std::filesystem::remove_all(dir);
 }
 
 //
@@ -435,6 +413,31 @@ TEST(Service, ConcurrentIdenticalSubmissionsCostOneSimulationEach)
     EXPECT_EQ(r3.cacheHits, 4u);
 
     ServiceStats stats = service.stats();
+    // The `status` op reports the same lifetime counters, with nothing
+    // left in flight once every submission is done.
+    int fd = rawConnect(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(rawSendLine(fd, "{\"op\": \"status\"}"));
+    std::string status = rawReadLine(fd);
+    ::close(fd);
+    EXPECT_NE(status.find("\"event\": \"status\""), std::string::npos)
+        << status;
+    EXPECT_EQ(eventNumber(status, "submissions"),
+              static_cast<long long>(stats.submissions));
+    EXPECT_EQ(eventNumber(status, "runs_requested"),
+              static_cast<long long>(stats.runsRequested));
+    EXPECT_EQ(eventNumber(status, "simulated"),
+              static_cast<long long>(stats.simulated));
+    EXPECT_EQ(eventNumber(status, "cache_hits"),
+              static_cast<long long>(stats.cacheHits));
+    EXPECT_EQ(eventNumber(status, "memo_hits"),
+              static_cast<long long>(stats.memoHits));
+    EXPECT_EQ(eventNumber(status, "dedup_joins"),
+              static_cast<long long>(stats.dedupJoins));
+    EXPECT_EQ(eventNumber(status, "errors"),
+              static_cast<long long>(stats.errors));
+    EXPECT_EQ(eventNumber(status, "inflight"), 0);
+
     EXPECT_EQ(stats.submissions, 3u);
     EXPECT_EQ(stats.runsRequested, 12u);
     EXPECT_EQ(stats.simulated, 4u);
@@ -479,6 +482,31 @@ TEST(Service, RenamedSubmissionsStillDedupAndErrorsAreReported)
     ASSERT_FALSE(b.events.empty());
     EXPECT_NE(b.events.front().find("\"accepted\""), std::string::npos);
     EXPECT_NE(b.events.back().find("\"done\""), std::string::npos);
+
+    // A sharded submission streams exactly the runs a local Campaign
+    // executes for that shard, each under the index of its record.
+    const std::string shardToml =
+        std::string(kTinySpecToml) + "[fabric]\nshard = \"1/3\"\n";
+    SubmitResult sharded = submitSpecText(opts.socketPath, shardToml);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    CampaignResult local =
+        Campaign().run(parseSpecText(shardToml, "shard.toml"));
+    ASSERT_GT(local.records.size(), 0u);
+    ASSERT_LT(local.records.size(), 4u);
+    EXPECT_EQ(sharded.runs, local.records.size());
+    std::set<long long> indices;
+    for (const std::string& ev : sharded.events) {
+        if (eventString(ev, "event") != "run")
+            continue;
+        long long i = eventNumber(ev, "index");
+        ASSERT_GE(i, 0) << ev;
+        ASSERT_LT(i, static_cast<long long>(local.records.size())) << ev;
+        EXPECT_TRUE(indices.insert(i).second) << ev;
+        const RunRecord& rec = local.records[static_cast<size_t>(i)];
+        EXPECT_EQ(eventString(ev, "id"), rec.spec.id());
+        EXPECT_EQ(eventString(ev, "hash"), rec.spec.contentHash());
+    }
+    EXPECT_EQ(indices.size(), local.records.size());
 
     // A spec that does not parse answers with an error event, and the
     // connection stays usable for the service (stats record it).

@@ -442,15 +442,11 @@ TEST(Lpt, CsvBytesAreIdenticalAcrossJobsAndCacheWarmthUnderLpt)
 
     CampaignOptions lpt1;
     lpt1.jobs = 1;
-    lpt1.lpt = true;
     CampaignOptions lpt4 = lpt1;
     lpt4.jobs = 4;
-    CampaignOptions matrix4 = lpt4;
-    matrix4.lpt = false;
 
     std::string base = csvOf(lpt1);
     EXPECT_EQ(base, csvOf(lpt4));
-    EXPECT_EQ(base, csvOf(matrix4));
 
     // Half-warm cache: run a sub-matrix first, then the full campaign
     // with LPT at --jobs 4. Hits are claimed last, misses by estimate —
@@ -482,29 +478,63 @@ TEST(Lpt, CachedHostSecondsRoundTripsThroughTheCache)
     SweepSpec spec = tinySpec();
     CampaignResult cold = Campaign(opts).run(spec);
 
+    // What the cache lists is what each run cost this host.
+    std::vector<CacheEntryInfo> entries = CacheStore(dir).entries();
+    ASSERT_EQ(entries.size(), cold.records.size());
     for (const RunRecord& rec : cold.records) {
-        double s = CacheStore(dir).recordedHostSeconds(rec.spec.contentHash());
-        EXPECT_GE(s, 0.0);
-        // What the cache replays is what the run cost this host.
-        EXPECT_DOUBLE_EQ(s, rec.hostSeconds);
+        auto it = std::find_if(entries.begin(), entries.end(),
+                               [&](const CacheEntryInfo& e) {
+                                   return e.hash == rec.spec.contentHash();
+                               });
+        ASSERT_NE(it, entries.end()) << rec.spec.id();
+        EXPECT_DOUBLE_EQ(it->hostSeconds, rec.hostSeconds);
     }
-    EXPECT_LT(CacheStore(dir).recordedHostSeconds("0123456789abcdef"), 0.0);
-    EXPECT_LT(CacheStore(dir + "/nope").recordedHostSeconds("0123456789abcdef"),
-              0.0);
+    EXPECT_TRUE(CacheStore(dir + "/nope").entries().empty());
+
+    // Rewrite one entry through @p edit and check it still hits and is
+    // still listed: the provenance lines are not what load() gates on.
+    auto rewritten = [&](const RunRecord& rec, auto edit) {
+        const std::string hash = rec.spec.contentHash();
+        const std::string path = dir + "/" + hash + ".run";
+        std::ifstream in(path);
+        std::ostringstream out;
+        std::string line;
+        while (std::getline(in, line))
+            edit(line, out);
+        in.close();
+        std::ofstream(path, std::ios::trunc) << out.str();
+        RunRecord back;
+        EXPECT_TRUE(CacheStore(dir).load(rec.spec, back)) << rec.spec.id();
+        EXPECT_EQ(back.result.cycles, rec.result.cycles);
+        for (const CacheEntryInfo& e : CacheStore(dir).entries())
+            if (e.hash == hash)
+                return e;
+        ADD_FAILURE() << "entry " << hash << " not listed";
+        return CacheEntryInfo();
+    };
 
     // An entry written before the host_seconds provenance line existed
-    // is still a hit: the probe reports 0 (unknown cost), not absent —
-    // otherwise LPT would price warm pre-upgrade caches as full work.
-    const std::string hash = cold.records[0].spec.contentHash();
-    const std::string path = dir + "/" + hash + ".run";
-    std::ifstream in(path);
-    std::ostringstream stripped;
-    std::string line;
-    while (std::getline(in, line))
-        if (line.rfind("host_seconds ", 0) != 0)
-            stripped << line << "\n";
-    in.close();
-    std::ofstream(path, std::ios::trunc) << stripped.str();
-    EXPECT_DOUBLE_EQ(CacheStore(dir).recordedHostSeconds(hash), 0.0);
+    // is still a hit; it lists its cost as not recorded.
+    CacheEntryInfo old = rewritten(
+        cold.records[0], [](const std::string& line, std::ostream& out) {
+            if (line.rfind("host_seconds ", 0) != 0)
+                out << line << "\n";
+        });
+    EXPECT_LT(old.hostSeconds, 0.0);
+
+    // An entry carrying the since-dropped est_units line (the unknown-tag
+    // rule) is still a hit with its provenance intact.
+    CacheEntryInfo legacy = rewritten(
+        cold.records[1], [](const std::string& line, std::ostream& out) {
+            out << line << "\n";
+            if (line.rfind("kernel ", 0) == 0)
+                out << "est_units 12.5\n";
+        });
+    EXPECT_DOUBLE_EQ(legacy.hostSeconds, cold.records[1].hostSeconds);
+    EXPECT_FALSE(legacy.kernel.empty());
+
+    // Both still hit through a campaign, too.
+    CampaignResult warm = Campaign(opts).run(spec);
+    EXPECT_EQ(warm.cacheHits, cold.records.size());
     std::filesystem::remove_all(dir);
 }
