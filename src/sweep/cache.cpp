@@ -287,8 +287,11 @@ CacheStore::prune(double olderThanDays) const
             continue;
         const std::string fname = de.path().filename().string();
         // Sweep leftover temp files from interrupted writes regardless
-        // of age; they are never valid entries.
-        if (fname.find(".run.tmp.") != std::string::npos) {
+        // of age; they are never valid entries. Compatibility shim, to
+        // be removed on 2027-04-01: also sweep the unused manifest.json
+        // index that older builds wrote.
+        if (fname.find(".run.tmp.") != std::string::npos ||
+            fname == "manifest.json") {
             std::filesystem::remove(de.path(), ec);
             continue;
         }

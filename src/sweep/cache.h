@@ -126,7 +126,8 @@ class CacheStore
      * only those whose mtime is older than that many days. Torn entries
      * — bad magic, hash not matching the file name, missing `end`
      * terminator (a crash mid-write) — are swept regardless of age, as
-     * are leftover temp files.
+     * are leftover temp files and the manifest.json older builds wrote
+     * (a compatibility shim, to be removed on 2027-04-01).
      * @return the number of records removed.
      */
     size_t prune(double olderThanDays = -1.0) const;

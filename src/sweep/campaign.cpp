@@ -116,7 +116,7 @@ shardAssignment(const std::vector<RunSpec>& runs, uint32_t shardCount)
 }
 
 std::vector<RunSpec>
-shardRuns(const SweepSpec& spec)
+shardRuns(const SweepSpec& spec, std::vector<size_t>* matrixIndex)
 {
     // The assignment is a pure function of the expanded runs (static
     // cost heuristic), so N hosts given i/N for i = 0..N-1 execute
@@ -126,13 +126,19 @@ shardRuns(const SweepSpec& spec)
         fatal("campaign '", spec.name, "': shard index ", spec.shardIndex,
               " out of range for ", count, " shard", count == 1 ? "" : "s");
     std::vector<RunSpec> runs = spec.expand();
-    if (count == 1)
-        return runs;
-    std::vector<uint32_t> shardOf = shardAssignment(runs, count);
+    std::vector<uint32_t> shardOf =
+        count == 1 ? std::vector<uint32_t>(runs.size(), 0)
+                   : shardAssignment(runs, count);
     std::vector<RunSpec> mine;
-    for (size_t i = 0; i < runs.size(); ++i)
-        if (shardOf[i] == spec.shardIndex)
-            mine.push_back(std::move(runs[i]));
+    if (matrixIndex)
+        matrixIndex->clear();
+    for (size_t i = 0; i < runs.size(); ++i) {
+        if (shardOf[i] != spec.shardIndex)
+            continue;
+        mine.push_back(std::move(runs[i]));
+        if (matrixIndex)
+            matrixIndex->push_back(i);
+    }
     return mine;
 }
 
@@ -145,6 +151,14 @@ runCosts(const std::vector<RunSpec>& runs, const CacheStore& cache)
                        ? 0.0
                        : estimateRunCost(runs[i]);
     return costs;
+}
+
+uint32_t
+resolveJobs(uint32_t jobs)
+{
+    if (jobs != 0)
+        return jobs;
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void
@@ -160,9 +174,7 @@ runLongestFirst(const std::vector<double>& costs, uint32_t jobs,
         for (size_t slot = cursor++; slot < order.size(); slot = cursor++)
             body(order[slot]);
     };
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-    size_t nworkers = std::min<size_t>(jobs, order.size());
+    size_t nworkers = std::min<size_t>(resolveJobs(jobs), order.size());
     if (nworkers <= 1) {
         worker();
         return;
@@ -323,48 +335,9 @@ CampaignResult::writeTimeSeriesJson(std::ostream& os) const
     os << "  ]\n}\n";
 }
 
-void
-CampaignResult::writeBenchJson(std::ostream& os) const
-{
-    // The trajectory headline: enough to spot a simulator perf or model
-    // regression at a glance, small enough to diff across CI runs.
-    static const char* kHeadlineCounters[] = {
-        "core.thread_instrs", "core.retired",      "icache.core_reads",
-        "dcache.core_reads",  "dcache.read_hits",  "dcache.read_misses",
-        "mem.bytes",
-    };
-    double total = 0.0;
-    for (const RunRecord& r : records)
-        total += r.hostSeconds;
-    os << "{\n  \"campaign\": \"" << jsonEscape(name) << "\",\n";
-    os << "  \"total_host_seconds\": " << fmtDouble(total) << ",\n";
-    os << "  \"runs\": [\n";
-    for (size_t i = 0; i < records.size(); ++i) {
-        const RunRecord& r = records[i];
-        os << "    {\"id\": \"" << jsonEscape(r.spec.id())
-           << "\", \"hash\": \"" << r.spec.contentHash()
-           << "\", \"from_cache\": " << (r.fromCache ? "true" : "false")
-           << ", \"host_seconds\": " << fmtDouble(r.hostSeconds)
-           << ",\n     \"cycles\": " << r.result.cycles
-           << ", \"thread_instrs\": " << r.result.threadInstrs
-           << ", \"ipc\": " << fmtDouble(r.result.ipc) << ", \"stats\": {";
-        bool first = true;
-        for (const char* k : kHeadlineCounters) {
-            os << (first ? "" : ", ") << "\"" << k
-               << "\": " << r.stats.get(k);
-            first = false;
-        }
-        os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-}
-
 Campaign::Campaign(CampaignOptions opts) : opts_(std::move(opts))
 {
-    if (opts_.jobs == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        opts_.jobs = hw == 0 ? 1 : hw;
-    }
+    opts_.jobs = resolveJobs(opts_.jobs);
 }
 
 RunRecord

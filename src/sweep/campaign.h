@@ -129,15 +129,6 @@ struct CampaignResult
      * arrays.
      */
     void writeTimeSeriesJson(std::ostream& os) const;
-
-    /**
-     * Bench-trajectory JSON (the CI perf-smoke artifact): per-run
-     * hostSeconds, cache provenance, and headline counters, plus the
-     * campaign's total simulation wall-clock. Unlike every other
-     * emitter this one DOES carry execution metadata — it measures the
-     * simulator, not the simulation — so it is NOT byte-stable.
-     */
-    void writeBenchJson(std::ostream& os) const;
 };
 
 /**
@@ -173,8 +164,11 @@ std::vector<uint32_t> shardAssignment(const std::vector<RunSpec>& runs,
  * kept to the runs shardAssignment() maps to spec.shardIndex of
  * spec.shardCount (all of them when unsharded). Fatal on a shard index
  * out of range. Campaign::run and the fabric service both start here.
+ * When @p matrixIndex is non-null it receives each returned run's index
+ * in spec.expand().
  */
-std::vector<RunSpec> shardRuns(const SweepSpec& spec);
+std::vector<RunSpec> shardRuns(const SweepSpec& spec,
+                               std::vector<size_t>* matrixIndex = nullptr);
 
 /**
  * The claim price of each of @p runs: 0 when @p cache holds the run (it
@@ -184,14 +178,18 @@ std::vector<RunSpec> shardRuns(const SweepSpec& spec);
 std::vector<double> runCosts(const std::vector<RunSpec>& runs,
                              const CacheStore& cache);
 
+/** The number of concurrent runs @p jobs asks for: @p jobs itself, or
+ *  the host's hardware threads (at least 1) when it is 0. */
+uint32_t resolveJobs(uint32_t jobs);
+
 /**
  * Call @p body(i) once for every index i of @p costs, claimed
  * longest-first: a stable descending order over the costs (lower index
- * first on ties) feeds an atomic cursor that min(jobs, n) threads claim
- * from (jobs == 0 = host hardware threads; with one thread the calling
- * thread runs every body). Returns when every body has returned. The
- * body must not throw: it catches its own exceptions and stores results
- * by index, so the claim order never shows in what it produces.
+ * first on ties) feeds an atomic cursor that min(resolveJobs(jobs), n)
+ * threads claim from (with one thread the calling thread runs every
+ * body). Returns when every body has returned. The body must not throw:
+ * it catches its own exceptions and stores results by index, so the
+ * claim order never shows in what it produces.
  */
 void runLongestFirst(const std::vector<double>& costs, uint32_t jobs,
                      const std::function<void(size_t)>& body);

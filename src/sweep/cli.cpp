@@ -76,8 +76,6 @@ usage(int code)
         "                       (shorthand for --set sampleInterval=N)\n"
         "  --timeseries PATH    emit the per-interval counter time series\n"
         "                       as JSON ('-' = stdout); needs --sample\n"
-        "  --bench-json PATH    emit host wall-clock + headline counters\n"
-        "                       (the CI bench-trajectory artifact)\n"
         "  --csv PATH           CSV output ('-' = stdout; default "
         "<name>.csv)\n"
         "  --json PATH          also emit JSON ('-' = stdout)\n"
@@ -199,7 +197,7 @@ writeTo(const std::string& path, const std::string& what,
 struct RunArgs
 {
     std::string presetName, csvPath, jsonPath, campaignName;
-    std::string timeseriesPath, benchJsonPath, olderThan;
+    std::string timeseriesPath, olderThan;
     std::string specPath, dumpSpecPath, shardArg;
     std::vector<Axis> axes;
     std::vector<std::pair<std::string, std::string>> sets;
@@ -260,8 +258,6 @@ parseRunArgs(RunArgs& o, const std::vector<std::string>& args, size_t start,
             o.sampleInterval = parseU32Value("--sample", next());
         else if (a == "--timeseries")
             o.timeseriesPath = next();
-        else if (a == "--bench-json")
-            o.benchJsonPath = next();
         else if (a == "--cache-prune")
             o.cachePrune = true;
         else if (a == "--older-than")
@@ -563,11 +559,10 @@ execRun(RunArgs& o)
             if (!o.sets.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; --set has no effect on it");
-            if (o.sampleInterval != 0 || !o.timeseriesPath.empty() ||
-                !o.benchJsonPath.empty())
+            if (o.sampleInterval != 0 || !o.timeseriesPath.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; it runs no simulation to "
-                      "sample or time");
+                      "sample");
             if (!o.dumpSpecPath.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; it has no sweep spec to "
@@ -668,9 +663,6 @@ execRun(RunArgs& o)
     if (!o.timeseriesPath.empty())
         writeTo(o.timeseriesPath, "time-series JSON",
                 [&](std::ostream& os) { result.writeTimeSeriesJson(os); });
-    if (!o.benchJsonPath.empty())
-        writeTo(o.benchJsonPath, "bench JSON",
-                [&](std::ostream& os) { result.writeBenchJson(os); });
 
     // Figure-shaped reports need the full matrix; a shard holds only
     // its slice, so reports come from the post-merge full rerun.

@@ -347,8 +347,7 @@ struct Service::Impl
     explicit Impl(ServiceOptions o)
         : opts(std::move(o)),
           cache(opts.cacheDir),
-          simSlots(opts.jobs ? opts.jobs
-                             : std::max(1u, std::thread::hardware_concurrency()))
+          simSlots(resolveJobs(opts.jobs))
     {
     }
 
@@ -509,8 +508,9 @@ struct Service::Impl
                 spec.name = *name;
 
         std::vector<RunSpec> runs;
+        std::vector<size_t> matrixIndex;
         try {
-            runs = shardRuns(spec);
+            runs = shardRuns(spec, &matrixIndex);
         } catch (const FatalError& e) {
             emitError(e.what());
             return;
@@ -533,8 +533,8 @@ struct Service::Impl
         size_t firstErrorIndex = runs.size();
         std::mutex subMu; // guards the submission-local counters above
 
-        // Events carry each run's index in `runs`, so the claim order
-        // never shows in what a client receives.
+        // Events carry each run's matrix index, so neither the claim
+        // order nor the shard slicing shows in what a client receives.
         runLongestFirst(runCosts(runs, cache), opts.jobs, [&](size_t i) {
             Origin origin = Origin::Simulated;
             RunRecord rec = resolveRun(runs[i], spec.name, origin);
@@ -554,7 +554,7 @@ struct Service::Impl
                 }
             }
             std::ostringstream ev;
-            ev << "{\"event\": \"run\", \"index\": " << i
+            ev << "{\"event\": \"run\", \"index\": " << matrixIndex[i]
                << ", \"id\": \"" << jsonEscape(rec.spec.id())
                << "\", \"hash\": \"" << rec.spec.contentHash()
                << "\", \"source\": \"" << originName(origin)

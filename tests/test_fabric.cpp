@@ -484,7 +484,8 @@ TEST(Service, RenamedSubmissionsStillDedupAndErrorsAreReported)
     EXPECT_NE(b.events.back().find("\"done\""), std::string::npos);
 
     // A sharded submission streams exactly the runs a local Campaign
-    // executes for that shard, each under the index of its record.
+    // executes for that shard, each under its index in the full matrix
+    // (docs/FABRIC.md), not its position within the slice.
     const std::string shardToml =
         std::string(kTinySpecToml) + "[fabric]\nshard = \"1/3\"\n";
     SubmitResult sharded = submitSpecText(opts.socketPath, shardToml);
@@ -494,19 +495,27 @@ TEST(Service, RenamedSubmissionsStillDedupAndErrorsAreReported)
     ASSERT_GT(local.records.size(), 0u);
     ASSERT_LT(local.records.size(), 4u);
     EXPECT_EQ(sharded.runs, local.records.size());
+    const std::vector<RunSpec> matrix =
+        parseSpecText(kTinySpecToml, "tiny.toml").expand();
+    std::set<long long> want;
+    for (const RunRecord& rec : local.records)
+        for (size_t m = 0; m < matrix.size(); ++m)
+            if (matrix[m].contentHash() == rec.spec.contentHash())
+                want.insert(static_cast<long long>(m));
+    ASSERT_EQ(want.size(), local.records.size());
     std::set<long long> indices;
     for (const std::string& ev : sharded.events) {
         if (eventString(ev, "event") != "run")
             continue;
         long long i = eventNumber(ev, "index");
         ASSERT_GE(i, 0) << ev;
-        ASSERT_LT(i, static_cast<long long>(local.records.size())) << ev;
+        ASSERT_LT(i, static_cast<long long>(matrix.size())) << ev;
         EXPECT_TRUE(indices.insert(i).second) << ev;
-        const RunRecord& rec = local.records[static_cast<size_t>(i)];
-        EXPECT_EQ(eventString(ev, "id"), rec.spec.id());
-        EXPECT_EQ(eventString(ev, "hash"), rec.spec.contentHash());
+        const RunSpec& run = matrix[static_cast<size_t>(i)];
+        EXPECT_EQ(eventString(ev, "id"), run.id());
+        EXPECT_EQ(eventString(ev, "hash"), run.contentHash());
     }
-    EXPECT_EQ(indices.size(), local.records.size());
+    EXPECT_EQ(indices, want);
 
     // A spec that does not parse answers with an error event, and the
     // connection stays usable for the service (stats record it).
@@ -739,6 +748,11 @@ TEST(CachePrune, SweepsTornEntriesRegardlessOfAge)
 
     EXPECT_EQ(store.prune(), 4u); // no age filter: everything goes
     EXPECT_TRUE(store.entries().empty());
+
+    // An index file that older builds wrote is swept too.
+    std::ofstream(dir + "/manifest.json") << "{\"entries\": []}\n";
+    EXPECT_EQ(store.prune(), 0u);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.json"));
     std::filesystem::remove_all(dir);
 }
 

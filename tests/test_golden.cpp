@@ -1,91 +1,119 @@
 /**
  * @file
- * Golden simulated-timing gate for host-performance work: the exact
- * cycle counts, thread-instruction counts, and headline device counters
- * of all six `perf_smoke` runs, pinned to the values recorded in the
- * committed BENCH_PR.json (the CI bench-trajectory baseline).
+ * Golden simulated-timing gate: the 35 runs of the fig18 core-scaling
+ * campaign must reproduce the `campaign/<id>` rows of
+ * perfbench/expected.txt exactly — cycles, thread instructions, and the
+ * FNV-1a digest of every device counter. expected.txt is the one record
+ * of golden simulated numbers; perfbench gates the same rows (and its
+ * other workloads') on every benchmark run.
  *
- * Purpose: any host-perf refactor (decode caches, pooled uops, slot
- * pools, counter handles, ...) must leave simulated timing bit-identical
- * — these numbers may only change when the *timing model* deliberately
- * changes, and such a PR must update BENCH_PR.json and this table
- * together, saying so.
+ * Purpose: host-performance work must leave simulated timing
+ * bit-identical. The numbers may only change when the timing model
+ * deliberately changes; such a change re-records expected.txt with
+ * `python3 perfbench/run.py --record-expected` and says so.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/stats.h"
-#include "runtime/device.h"
+#include "sweep/campaign.h"
 #include "sweep/presets.h"
 #include "sweep/spec.h"
+#include "sweep/specfile.h"
 
 using namespace vortex;
 
 namespace {
 
-/** One pinned run: matrix-order id + the BENCH_PR.json headline row. */
-struct Golden
+/** One recorded row: "id cycles thread_instrs counters series". */
+struct Row
 {
-    const char* id; ///< RunSpec::id(), e.g. "vecadd/1"
-    uint64_t cycles;
-    uint64_t threadInstrs;
-    uint64_t coreRetired;
-    uint64_t icacheReads;
-    uint64_t dcacheReads;
-    uint64_t dcacheReadHits;
-    uint64_t dcacheReadMisses;
-    uint64_t memBytes;
+    uint64_t cycles = 0;
+    uint64_t threadInstrs = 0;
+    std::string counters;
 };
 
-/** The committed BENCH_PR.json baseline (trajectory point 1, PR 3). */
-const Golden kGolden[] = {
-    {"vecadd/1", 29368, 46140, 11582, 11582, 10338, 9152, 1186, 155840},
-    {"vecadd/2", 16416, 47224, 11900, 11900, 10436, 8675, 1761, 164544},
-    {"saxpy/1", 29799, 44092, 11070, 11070, 10338, 9125, 1213, 155776},
-    {"saxpy/2", 16542, 45176, 11388, 11388, 10436, 9109, 1327, 163712},
-    {"sgemm/1", 50766, 113981, 28543, 28543, 30050, 29560, 490, 49536},
-    {"sgemm/2", 29821, 115066, 28862, 28862, 30148, 29200, 948, 62144},
-};
+/** The rows of perfbench/expected.txt by id; fails the test when the
+ *  file cannot be read. */
+std::map<std::string, Row>
+readExpected(const std::string& path)
+{
+    std::map<std::string, Row> rows;
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << "cannot read " << path;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream ls(line);
+        std::string id, series;
+        Row row;
+        if (ls >> id >> row.cycles >> row.threadInstrs >> row.counters >>
+            series)
+            rows[id] = row;
+    }
+    return rows;
+}
+
+/** perfbench's counter digest: FNV-1a 64 over "key=value\n" for every
+ *  counter, as 16 lowercase hex digits. */
+std::string
+countersDigest(const StatGroup& stats)
+{
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (const auto& [k, v] : stats.all())
+        for (unsigned char c : k + "=" + std::to_string(v) + "\n") {
+            h ^= c;
+            h *= 0x100000001B3ull;
+        }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
 
 } // namespace
 
-/** Execute every perf_smoke run and compare cycles / instructions /
- *  headline counters against the pinned table. */
-TEST(Golden, PerfSmokeMatchesBenchBaseline)
+/** Run the perfbench fig18 spec and compare every record against its
+ *  expected.txt row. */
+TEST(Golden, Fig18MatchesPerfbenchExpected)
 {
-    sweep::SweepSpec spec = sweep::findPreset("perf_smoke")->spec();
-    std::vector<sweep::RunSpec> runs = spec.expand();
-    ASSERT_EQ(runs.size(), std::size(kGolden));
+    const std::map<std::string, Row> expected =
+        readExpected(VORTEX_PERFBENCH_DIR "/expected.txt");
+    const sweep::SweepSpec spec =
+        sweep::parseSpecFile(VORTEX_PERFBENCH_DIR "/specs/fig18.toml");
+    sweep::CampaignOptions opts;
+    opts.jobs = 0; // host hardware threads
+    const sweep::CampaignResult result = sweep::Campaign(opts).run(spec);
+    ASSERT_EQ(result.records.size(), 35u);
 
-    for (size_t i = 0; i < runs.size(); ++i) {
-        sweep::RunSpec& run = runs[i];
-        const Golden& want = kGolden[i];
-        ASSERT_EQ(run.id(), want.id) << "matrix order drifted";
-
-        runtime::Device dev(run.config);
-        runtime::RunResult r = run.workload.run(dev);
-        ASSERT_TRUE(r.ok) << run.id() << ": " << r.error;
-
-        StatGroup flat;
-        dev.processor().collectStats(flat);
-
-        EXPECT_EQ(r.cycles, want.cycles) << want.id;
-        EXPECT_EQ(r.threadInstrs, want.threadInstrs) << want.id;
-        EXPECT_EQ(flat.get("core.thread_instrs"), want.threadInstrs)
-            << want.id;
-        EXPECT_EQ(flat.get("core.retired"), want.coreRetired) << want.id;
-        EXPECT_EQ(flat.get("icache.core_reads"), want.icacheReads)
-            << want.id;
-        EXPECT_EQ(flat.get("dcache.core_reads"), want.dcacheReads)
-            << want.id;
-        EXPECT_EQ(flat.get("dcache.read_hits"), want.dcacheReadHits)
-            << want.id;
-        EXPECT_EQ(flat.get("dcache.read_misses"), want.dcacheReadMisses)
-            << want.id;
-        EXPECT_EQ(flat.get("mem.bytes"), want.memBytes) << want.id;
+    std::set<std::string> hashes;
+    for (const sweep::RunRecord& rec : result.records) {
+        const std::string id = "campaign/" + rec.spec.id();
+        hashes.insert(rec.spec.contentHash());
+        ASSERT_TRUE(rec.result.ok) << id << ": " << rec.result.error;
+        auto it = expected.find(id);
+        if (it == expected.end()) {
+            ADD_FAILURE() << id << " has no row in expected.txt";
+            continue;
+        }
+        EXPECT_EQ(rec.result.cycles, it->second.cycles) << id;
+        EXPECT_EQ(rec.result.threadInstrs, it->second.threadInstrs) << id;
+        EXPECT_EQ(countersDigest(rec.stats), it->second.counters) << id;
     }
+
+    // The perf_smoke preset's runs are among them, so they stay pinned.
+    const std::vector<sweep::RunSpec> smoke =
+        sweep::findPreset("perf_smoke")->spec().expand();
+    ASSERT_EQ(smoke.size(), 6u);
+    for (const sweep::RunSpec& run : smoke)
+        EXPECT_TRUE(hashes.count(run.contentHash()))
+            << "perf_smoke run " << run.id() << " is not in fig18";
 }
