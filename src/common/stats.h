@@ -1,26 +1,27 @@
 /**
  * @file
- * Lightweight named statistics counters. Components expose a StatGroup;
- * benches, the sweep campaign engine, and EXPERIMENTS tooling read them
- * by name.
+ * Statistics counters. A timing component declares its counters once, as
+ * an enum `Ctr` (ending in `Count`) plus a name table `kCtrNames`, and
+ * counts into a CounterBlock. The Processor lays every component out once
+ * as a flat CounterTable of "<group>.<name>" slots (see
+ * core::Processor::collectStats), which StatSampler diffs; StatGroup is
+ * the named record a run carries. Names are lower_snake_case event
+ * counts, monotonically non-decreasing over a run. Derived metrics
+ * (ratios, utilizations) are computed from counters when reported
+ * (e.g. mem::bankUtilization()), never stored as counters.
  *
- * Counter naming conventions:
- *  - keys are lower_snake_case event counts ("core_reads", "mshr_replays",
- *    "fetch_icache_stalls"), monotonically non-decreasing over a run;
- *  - group names are the component instance ("dcache", "memsim"); when
- *    groups are aggregated across a device the flattened key is
- *    "<group>.<key>" (see sweep::Campaign);
- *  - derived metrics (ratios, utilizations) are NOT counters — compute
- *    them from counters at the point of reporting (e.g.
- *    mem::Cache::bankUtilization()).
+ * Counters appear in first-touch order, which depends on the guest
+ * program, and a counter never touched never appears; a touch that adds
+ * 0 still registers the counter.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <iterator>
 #include <map>
-#include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,24 +29,16 @@
 namespace vortex {
 
 /**
- * A named collection of 64-bit counters, printed and iterated in
- * insertion order (the order a component first touched each counter —
- * typically its natural event order, not alphabetical).
- *
- * Storage is a deque so counter references stay valid as later keys are
- * inserted; CounterRef exploits that to turn hot-path counter bumps into
- * a single pointer increment (see below).
+ * A named collection of 64-bit counters, iterated in insertion order
+ * (the order each counter was first touched). The flat record of a run:
+ * RunRecord::stats, result-cache entries, the graphics pipeline's cold
+ * counters.
  */
 class StatGroup
 {
   public:
-    /** A group named @p name (the "<group>" half of flattened
-     *  "<group>.<key>" counter names; empty for anonymous groups). */
-    explicit StatGroup(std::string name = "") : name_(std::move(name)) {}
-
     /** The counter for @p key, created zero on first use. The reference
-     *  stays valid for the lifetime of the group (deque storage never
-     *  relocates existing entries). */
+     *  is valid until the next counter is created. */
     uint64_t&
     counter(const std::string& key)
     {
@@ -54,10 +47,6 @@ class StatGroup
             items_.emplace_back(key, 0);
         return items_[it->second].second;
     }
-
-    /** A cached hot-path handle to counter @p key (see CounterRef below;
-     *  defined out of line because CounterRef needs the full group). */
-    inline class CounterRef counterRef(std::string key);
 
     /** Read @p key without creating it (0 when absent). */
     uint64_t
@@ -77,86 +66,149 @@ class StatGroup
     }
 
     /** All (key, value) pairs in insertion order. */
-    const std::deque<std::pair<std::string, uint64_t>>&
+    const std::vector<std::pair<std::string, uint64_t>>&
     all() const
     {
         return items_;
     }
 
-    /** The group (component-instance) name. */
-    const std::string& name() const { return name_; }
-
-    /** Print "name.key = value" lines in insertion order. */
-    void
-    print(std::ostream& os) const
-    {
-        for (const auto& [k, v] : items_)
-            os << name_ << (name_.empty() ? "" : ".") << k << " = " << v
-               << "\n";
-    }
-
   private:
-    std::string name_;
-    std::deque<std::pair<std::string, uint64_t>> items_;
+    std::vector<std::pair<std::string, uint64_t>> items_;
     std::map<std::string, size_t> index_; ///< key -> position in items_
 };
 
 /**
- * A cached handle to one StatGroup counter, for hot paths that bump the
- * same counter every simulated event. A plain `g.counter("key")` pays a
- * string hash + map probe per bump; a CounterRef pays it once and then
- * increments through a stable `uint64_t*` (StatGroup's deque storage
- * never relocates entries).
- *
- * Resolution is deliberately *lazy* — the counter is registered on the
- * first bump, not at handle construction — so a group's key set and
- * insertion order remain exactly the first-touch order they had before
- * handles existed. That keeps flattened stats, CSV columns, and
- * time-series keys byte-identical: a counter a run never bumps still
- * never appears. Convention for new hot-path code: resolve a CounterRef
- * member at component construction and bump it with `++ref` / `ref += n`
- * (see ARCHITECTURE.md "Host-performance playbook").
+ * The counters of one component instance, indexed by the component's
+ * enum @p Ctr. The first touch of a counter, even one adding 0, appends
+ * it to the touch order.
  */
-class CounterRef
+template <typename Ctr>
+class CounterBlock
 {
   public:
-    /** An unbound handle (never resolvable; for late initialization). */
-    CounterRef() = default;
+    /** Number of counters the enum declares. */
+    static constexpr size_t kSize = static_cast<size_t>(Ctr::Count);
+    static_assert(kSize <= 64, "the touch mask is one 64-bit word");
 
-    /** A handle to @p group's counter @p key (not yet registered). */
-    CounterRef(StatGroup& group, std::string key)
-        : group_(&group), key_(std::move(key))
+    /** Add @p n to counter @p c. */
+    void
+    add(Ctr c, uint64_t n = 1)
     {
+        const auto i = static_cast<uint8_t>(c);
+        if (!(touched_ >> i & 1)) {
+            touched_ |= uint64_t{1} << i;
+            order_[numTouched_++] = i;
+        }
+        values_[i] += n;
     }
 
-    /** The counter itself, registering it on first access. */
-    uint64_t&
-    value()
+    /** The value of counter @p c (0 while untouched). */
+    uint64_t
+    operator[](Ctr c) const
     {
-        if (!ptr_)
-            ptr_ = &group_->counter(key_);
-        return *ptr_;
+        return values_[static_cast<size_t>(c)];
     }
 
-    /** Bump by one (`++ref`). */
-    uint64_t& operator++() { return ++value(); }
-    /** Bump by @p n (`ref += n`). */
-    uint64_t& operator+=(uint64_t n) { return value() += n; }
-
-    /** Read without registering (0 while unregistered). */
-    uint64_t get() const { return ptr_ ? *ptr_ : 0; }
+    /** Indices of the touched counters, in first-touch order. */
+    std::span<const uint8_t>
+    order() const
+    {
+        return {order_.data(), numTouched_};
+    }
 
   private:
-    uint64_t* ptr_ = nullptr; ///< resolved on first bump; stable after
-    StatGroup* group_ = nullptr;
-    std::string key_;
+    std::array<uint64_t, kSize> values_{};
+    std::array<uint8_t, kSize> order_{}; ///< first numTouched_ are live
+    uint64_t touched_ = 0;               ///< bit i: counter i touched
+    size_t numTouched_ = 0;
 };
 
-inline CounterRef
-StatGroup::counterRef(std::string key)
+/**
+ * A flat table of named counter slots with the same touch-order rule as
+ * CounterBlock. The Processor lays it out once and refills it by
+ * element-wise sums; adding instances in index order gives the order
+ * that merging their StatGroups in index order would.
+ */
+class CounterTable
 {
-    return CounterRef(*this, std::move(key));
-}
+  public:
+    /** Append a slot named @p name; returns its index. */
+    size_t
+    addSlot(std::string name)
+    {
+        names_.push_back(std::move(name));
+        values_.push_back(0);
+        touched_.push_back(0);
+        return names_.size() - 1;
+    }
+
+    /** Append one slot "<prefix>.<name>" per counter of component type
+     *  @p T (its `Ctr` and `kCtrNames`); returns the first slot. */
+    template <typename T>
+    size_t
+    addGroup(const std::string& prefix)
+    {
+        using Ctr = typename T::Ctr;
+        static_assert(std::size(T::kCtrNames) == CounterBlock<Ctr>::kSize,
+                      "one name per counter");
+        size_t base = names_.size();
+        for (const char* n : T::kCtrNames)
+            addSlot(prefix + "." + n);
+        return base;
+    }
+
+    /** Zero every slot and forget the touch order. */
+    void
+    clear()
+    {
+        for (uint32_t s : order_)
+            values_[s] = touched_[s] = 0;
+        order_.clear();
+    }
+
+    /** Add @p n to slot @p slot. */
+    void
+    add(size_t slot, uint64_t n)
+    {
+        if (!touched_[slot]) {
+            touched_[slot] = 1;
+            order_.push_back(static_cast<uint32_t>(slot));
+        }
+        values_[slot] += n;
+    }
+
+    /** Add the touched counters of @p block, in its order, from slot
+     *  @p base on. */
+    template <typename Ctr>
+    void
+    add(size_t base, const CounterBlock<Ctr>& block)
+    {
+        for (uint8_t i : block.order())
+            add(base + i, block[static_cast<Ctr>(i)]);
+    }
+
+    size_t size() const { return names_.size(); } ///< number of slots
+    /** The name of slot @p s. */
+    const std::string& name(size_t s) const { return names_[s]; }
+    /** The value of slot @p s. */
+    uint64_t value(size_t s) const { return values_[s]; }
+    /** The touched slots, in first-touch order. */
+    const std::vector<uint32_t>& order() const { return order_; }
+
+    /** Add the touched slots, in order, into @p g under their names. */
+    void
+    addTo(StatGroup& g) const
+    {
+        for (uint32_t s : order_)
+            g.counter(names_[s]) += values_[s];
+    }
+
+  private:
+    std::vector<std::string> names_;
+    std::vector<uint64_t> values_;
+    std::vector<uint8_t> touched_;
+    std::vector<uint32_t> order_;
+};
 
 /**
  * A delta-encoded counter time series: one row per counter key, one
@@ -204,15 +256,15 @@ struct TimeSeries
 };
 
 /**
- * Periodically snapshots a monotonically non-decreasing StatGroup and
+ * Periodically snapshots a monotonically non-decreasing CounterTable and
  * delta-encodes the increments into a TimeSeries.
  *
  * The sampler is deliberately passive: the owner decides *when* a cycle
  * boundary is safe to observe (for the simulator that is after the
  * Processor's cross-core commit phase, when every cross-core effect of
- * the cycle has landed — see core/processor.h) and hands
- * in the flattened snapshot. due() is one load-and-test when disabled, so
- * an idle sampler costs nothing on the hot tick path.
+ * the cycle has landed — see core/processor.h) and hands in the refilled
+ * table. due() is one load-and-test when disabled, so an idle sampler
+ * costs nothing on the hot tick path.
  */
 class StatSampler
 {
@@ -231,51 +283,58 @@ class StatSampler
     }
 
     /** Record the increments since the previous sample as a new window
-     *  stamped @p now. @p snapshot must be monotonically non-decreasing
-     *  between calls and @p now strictly increasing. */
+     *  stamped @p now. @p table must keep its slot layout and be
+     *  monotonically non-decreasing between calls, and @p now strictly
+     *  increasing. */
     void
-    sample(uint64_t now, const StatGroup& snapshot)
+    sample(uint64_t now, const CounterTable& table)
     {
-        // Register keys new to this snapshot, backfilling zero deltas for
-        // the windows recorded before the counter first existed.
-        for (const auto& [k, v] : snapshot.all()) {
-            (void)v;
-            auto [it, inserted] = index_.try_emplace(k, series_.keys.size());
-            (void)it;
-            if (inserted) {
-                series_.keys.push_back(k);
-                series_.deltas.emplace_back(series_.numSamples(), 0);
-            }
+        if (rowOf_.size() < table.size()) {
+            rowOf_.resize(table.size(), kNoRow);
+            prev_.resize(table.size(), 0);
         }
-        for (size_t k = 0; k < series_.keys.size(); ++k) {
-            const std::string& key = series_.keys[k];
-            uint64_t v = snapshot.get(key);
-            series_.deltas[k].push_back(v - prev_.get(key));
+        // Add rows for slots new to this snapshot, backfilling zero
+        // deltas for the windows recorded before the counter existed.
+        for (uint32_t s : table.order()) {
+            if (rowOf_[s] != kNoRow)
+                continue;
+            rowOf_[s] = static_cast<uint32_t>(slotOf_.size());
+            slotOf_.push_back(s);
+            series_.keys.push_back(table.name(s));
+            series_.deltas.emplace_back(series_.numSamples(), 0);
+        }
+        for (size_t r = 0; r < slotOf_.size(); ++r) {
+            uint32_t s = slotOf_[r];
+            uint64_t v = table.value(s);
+            series_.deltas[r].push_back(v - prev_[s]);
+            prev_[s] = v;
         }
         series_.sampleCycles.push_back(now);
-        prev_ = snapshot;
     }
 
     /** End-of-run partial window: like sample(), but a no-op when
      *  disabled, when @p now is 0, or when a sample already landed on
      *  @p now (the run ended exactly on a boundary). */
     void
-    finalize(uint64_t now, const StatGroup& snapshot)
+    finalize(uint64_t now, const CounterTable& table)
     {
         if (!enabled() || now == 0)
             return;
         if (!series_.empty() && series_.sampleCycles.back() == now)
             return;
-        sample(now, snapshot);
+        sample(now, table);
     }
 
     /** The series recorded so far. */
     const TimeSeries& series() const { return series_; }
 
   private:
+    static constexpr uint32_t kNoRow = UINT32_MAX; ///< slot has no row yet
+
     TimeSeries series_;
-    StatGroup prev_; ///< counter values at the previous sample
-    std::map<std::string, size_t> index_; ///< key -> row in series_.keys
+    std::vector<uint64_t> prev_;  ///< slot values at the previous sample
+    std::vector<uint32_t> rowOf_; ///< slot -> row in series_ (or kNoRow)
+    std::vector<uint32_t> slotOf_; ///< row -> slot
 };
 
 } // namespace vortex

@@ -97,7 +97,7 @@ struct ArchConfig
 
     //
     // Observability. When nonzero, the Processor snapshots every device
-    // StatGroup each `sampleInterval` cycles (at the cycle-boundary
+    // counter each `sampleInterval` cycles (at the cycle-boundary
     // commit point, after every cross-core effect has landed) and
     // delta-encodes the increments into a TimeSeries (common/stats.h).
     // 0 disables sampling; the disabled path costs one branch per cycle.

@@ -25,8 +25,7 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
       alu_(2, "alu.input"),
       muldiv_(2, "muldiv.input"),
       fpu_(2, "fpu.input"),
-      sfu_(2, "sfu.input"),
-      stats_("core")
+      sfu_(2, "sfu.input")
 {
     icache_ = std::make_unique<mem::Cache>(config.icacheConfig());
     dcache_ = std::make_unique<mem::Cache>(config.dcacheConfig());
@@ -129,7 +128,7 @@ Core::activateWarp(WarpId wid, Addr pc)
         return;
     warps_[wid].reset(pc, 1);
     scheduler_.setActive(wid, true);
-    ++stats_.counter("wspawned");
+    ctrs_.add(Ctr::Wspawned);
 }
 
 void
@@ -210,7 +209,7 @@ Core::fetchStage(Cycle now)
 {
     (void)now;
     if (!icache_->laneReady(0)) {
-        ++ctrFetchIcacheStalls_;
+        ctrs_.add(Ctr::FetchIcacheStalls);
         return;
     }
     uint64_t eligible = 0;
@@ -256,7 +255,7 @@ Core::fetchStage(Cycle now)
     req.reqId = fetchPool_.alloc(std::move(uop));
     fetchOutstanding_[wid] = true;
     icache_->lanePush(0, req);
-    ++ctrFetches_;
+    ctrs_.add(Ctr::Fetches);
 }
 
 void
@@ -283,7 +282,7 @@ Core::issueStage(Cycle now)
             continue;
         Uop& head = ibuffers_[wid].front();
         if (!scoreboard_.ready(wid, head.instr)) {
-            ++ctrIssueScoreboardStalls_;
+            ctrs_.add(Ctr::IssueScoreboardStalls);
             continue;
         }
         // Structural check on the target functional unit.
@@ -301,7 +300,7 @@ Core::issueStage(Cycle now)
             break;
         }
         if (!free) {
-            ++ctrIssueStructuralStalls_;
+            ctrs_.add(Ctr::IssueStructuralStalls);
             continue;
         }
         Uop uop = ibuffers_[wid].pop();
@@ -380,7 +379,7 @@ Core::applyScheduleEvents(const Uop& uop)
     if (uop.out.isBarrier) {
         scheduler_.setStalled(wid, false);
         scheduler_.setBarrier(wid, true);
-        ++ctrBarriers_;
+        ctrs_.add(Ctr::Barriers);
         if (uop.out.barrierGlobal && hub_) {
             hub_->globalArrive(uop.out.barrierId, uop.out.barrierCount,
                                coreId_, wid);
@@ -574,12 +573,12 @@ Core::writeback(const Uop& uop)
                 w.fregs[t][dst.idx] = uop.out.values[t];
         }
         scoreboard_.clearBusy(wid, dst);
-        ++ctrWritebacks_;
+        ctrs_.add(Ctr::Writebacks);
     }
     if (uop.out.isFence)
         scheduler_.setStalled(wid, false);
     trace(uop, TraceStage::Commit);
-    ++ctrRetired_;
+    ctrs_.add(Ctr::Retired);
 }
 
 bool

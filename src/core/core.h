@@ -50,6 +50,25 @@ class BarrierHub
 class Core
 {
   public:
+    /** The core's event counters (names in kCtrNames). */
+    enum class Ctr : uint8_t
+    {
+        FetchIcacheStalls,     ///< fetch found the I$ lane full
+        Fetches,               ///< instruction fetches sent to the I$
+        IssueScoreboardStalls, ///< ibuffer head waiting on the scoreboard
+        IssueStructuralStalls, ///< ibuffer head waiting on a busy unit
+        Barriers,              ///< wavefronts stalled at a barrier
+        Writebacks,            ///< register writebacks
+        Retired,               ///< wavefront-instructions committed
+        Wspawned,              ///< wavefronts activated
+        Count                  ///< number of counters
+    };
+    /** Counter names, indexed by Ctr. */
+    static constexpr const char* kCtrNames[] = {
+        "fetch_icache_stalls", "fetches", "issue_scoreboard_stalls",
+        "issue_structural_stalls", "barriers", "writebacks", "retired",
+        "wspawned"};
+
     /** Build core @p core_id of a device configured by @p config, on
      *  shared backing RAM @p ram; @p hub receives global barrier
      *  arrivals (may be nullptr for single-core test rigs that never
@@ -110,8 +129,7 @@ class Core
     //
     // Statistics.
     //
-    StatGroup& stats() { return stats_; }             ///< core counters
-    const StatGroup& stats() const { return stats_; } ///< const counters
+    const CounterBlock<Ctr>& counters() const { return ctrs_; } ///< counters
     /** Thread-instructions retired (the IPC numerator). */
     uint64_t threadInstrs() const { return threadInstrs_; }
     /** Wavefront-instructions retired. */
@@ -283,16 +301,7 @@ class Core
     Cycle curCycle_ = 0;
     uint64_t threadInstrs_ = 0;
     uint64_t warpInstrs_ = 0;
-    StatGroup stats_;
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrFetchIcacheStalls_{stats_, "fetch_icache_stalls"};
-    CounterRef ctrFetches_{stats_, "fetches"};
-    CounterRef ctrIssueScoreboardStalls_{stats_, "issue_scoreboard_stalls"};
-    CounterRef ctrIssueStructuralStalls_{stats_, "issue_structural_stalls"};
-    CounterRef ctrBarriers_{stats_, "barriers"};
-    CounterRef ctrWritebacks_{stats_, "writebacks"};
-    CounterRef ctrRetired_{stats_, "retired"};
+    CounterBlock<Ctr> ctrs_;
 };
 
 /** Functionally execute @p instr of wavefront @p wid (defined in

@@ -24,6 +24,17 @@ Processor::Processor(const ArchConfig& config)
         cores_.push_back(std::make_unique<Core>(config, c, ram_, this));
     wire();
     pendingArrivals_.resize(config.numCores);
+    // The flat counter layout, in collectStats' group order.
+    slots_.threadInstrs = counters_.addSlot("core.thread_instrs");
+    slots_.warpInstrs = counters_.addSlot("core.warp_instrs");
+    slots_.core = counters_.addGroup<Core>("core");
+    slots_.icache = counters_.addGroup<mem::Cache>("icache");
+    slots_.dcache = counters_.addGroup<mem::Cache>("dcache");
+    slots_.smem = counters_.addGroup<mem::SharedMem>("smem");
+    slots_.tex = counters_.addGroup<tex::TexUnit>("tex");
+    slots_.l2 = counters_.addGroup<mem::Cache>("l2");
+    slots_.l3 = counters_.addGroup<mem::Cache>("l3");
+    slots_.mem = counters_.addGroup<mem::MemSim>("mem");
 }
 
 namespace {
@@ -187,9 +198,8 @@ Processor::tick()
     // Sampling happens after the commit phase: every cross-core effect of
     // this cycle has landed.
     if (sampler_.due(cycles_)) {
-        StatGroup snapshot;
-        collectStats(snapshot);
-        sampler_.sample(cycles_, snapshot);
+        collectCounters();
+        sampler_.sample(cycles_, counters_);
     }
 }
 
@@ -255,51 +265,43 @@ Processor::run(uint64_t max_cycles)
     // sampling is disabled or the run ended exactly on a boundary), so
     // summing a counter's deltas always reproduces its final value.
     if (sampler_.enabled()) {
-        StatGroup snapshot;
-        collectStats(snapshot);
-        sampler_.finalize(cycles_, snapshot);
+        collectCounters();
+        sampler_.finalize(cycles_, counters_);
     }
     return true;
 }
 
-namespace {
-
-/** Flatten @p group into @p flat under "<prefix>.<key>" names. */
 void
-flatten(StatGroup& flat, const std::string& prefix, const StatGroup& group)
+Processor::collectCounters()
 {
-    for (const auto& [k, v] : group.all())
-        flat.counter(prefix + "." + k) += v;
+    // Instances add in index order, one group after the other, so each
+    // group's touch order is that of merging its instances' blocks.
+    counters_.clear();
+    counters_.add(slots_.threadInstrs, threadInstrs());
+    counters_.add(slots_.warpInstrs, warpInstrs());
+    for (auto& core : cores_)
+        counters_.add(slots_.core, core->counters());
+    for (auto& core : cores_)
+        counters_.add(slots_.icache, core->icache().counters());
+    for (auto& core : cores_)
+        counters_.add(slots_.dcache, core->dcache().counters());
+    for (auto& core : cores_)
+        counters_.add(slots_.smem, core->sharedMem().counters());
+    for (auto& core : cores_)
+        if (core->texUnit())
+            counters_.add(slots_.tex, core->texUnit()->counters());
+    for (auto& l2 : l2s_)
+        counters_.add(slots_.l2, l2->counters());
+    if (l3_)
+        counters_.add(slots_.l3, l3_->counters());
+    counters_.add(slots_.mem, memSim_->counters());
 }
-
-} // namespace
 
 void
 Processor::collectStats(StatGroup& flat)
 {
-    flat.counter("core.thread_instrs") += threadInstrs();
-    flat.counter("core.warp_instrs") += warpInstrs();
-    StatGroup cores, icache, dcache, smem, tex;
-    for (auto& core : cores_) {
-        cores.add(core->stats());
-        icache.add(core->icache().stats());
-        dcache.add(core->dcache().stats());
-        smem.add(core->sharedMem().stats());
-        if (core->texUnit())
-            tex.add(core->texUnit()->stats());
-    }
-    flatten(flat, "core", cores);
-    flatten(flat, "icache", icache);
-    flatten(flat, "dcache", dcache);
-    flatten(flat, "smem", smem);
-    flatten(flat, "tex", tex);
-    StatGroup l2;
-    for (auto& c : l2s_)
-        l2.add(c->stats());
-    flatten(flat, "l2", l2);
-    if (l3_)
-        flatten(flat, "l3", l3_->stats());
-    flatten(flat, "mem", memSim_->stats());
+    collectCounters();
+    counters_.addTo(flat);
 }
 
 uint64_t

@@ -82,10 +82,11 @@ class Processor : public BarrierHub
     mem::Cache* l3() { return l3_.get(); }
 
     /**
-     * Flatten every device StatGroup into @p flat under "<group>.<key>"
-     * names, summed across cores, in fixed hierarchy order (core-private
+     * Add every touched device counter into @p flat as "<group>.<name>",
+     * summed across instances, in fixed hierarchy order (core-private
      * units first, then the shared levels outward: core, icache, dcache,
-     * smem, tex, l2, l3, mem). The synthetic "core.thread_instrs" /
+     * smem, tex, l2, l3, mem) and, within a group, first-touch order over
+     * the instances in index order. The synthetic "core.thread_instrs" /
      * "core.warp_instrs" counters lead the core group so IPC curves can
      * be computed from a snapshot alone. Counters accumulate into any
      * the caller already has (@p flat need not be empty).
@@ -144,6 +145,9 @@ class Processor : public BarrierHub
     /** Commit phase: staged L1 requests, then global barrier arrivals. */
     void commitCrossCore();
 
+    /** Refill counters_ from every component's CounterBlock. */
+    void collectCounters();
+
     ArchConfig config_;
     mem::Ram ram_;
     std::unique_ptr<mem::MemSim> memSim_;
@@ -166,6 +170,13 @@ class Processor : public BarrierHub
     std::vector<std::vector<PendingArrival>> pendingArrivals_; ///< per core
 
     GlobalBarrierTable globalBarriers_;
+    CounterTable counters_; ///< every device counter, laid out once
+    /** The two synthetic slots and the first slot of each group. */
+    struct
+    {
+        size_t threadInstrs, warpInstrs;
+        size_t core, icache, dcache, smem, tex, l2, l3, mem;
+    } slots_{};
     StatSampler sampler_; ///< per-interval counter sampling (off by default)
     std::function<void(Processor&, Cycle)> faultHook_; ///< setFaultHook()
     std::function<bool()> abortCheck_;                 ///< setAbortCheck()

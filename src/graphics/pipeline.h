@@ -180,7 +180,7 @@ class Pipeline
     FragmentShader shader_;
     const mem::Ram* texRam_ = nullptr;
     tex::SamplerState texState_;
-    StatGroup stats_{"pipeline"};
+    StatGroup stats_;
 };
 
 } // namespace vortex::graphics

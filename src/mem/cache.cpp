@@ -44,26 +44,7 @@ Cache::Cache(const CacheConfig& config)
     : config_(config),
       memQueue_(config.memQueueDepth, "cache.memq"),
       instanceBase_(nextInstanceBase()),
-      fillPool_(instanceBase_, "cache.fills"),
-      stats_(config.name),
-      ctrCoreReads_(stats_, "core_reads"),
-      ctrCoreWrites_(stats_, "core_writes"),
-      ctrCoreRsps_(stats_, "core_rsps"),
-      ctrMemReqs_(stats_, "mem_reqs"),
-      ctrMshrReplays_(stats_, "mshr_replays"),
-      ctrFills_(stats_, "fills"),
-      ctrMemqStalls_(stats_, "memq_stalls"),
-      ctrWriteHits_(stats_, "write_hits"),
-      ctrWriteMisses_(stats_, "write_misses"),
-      ctrReadHits_(stats_, "read_hits"),
-      ctrReadMisses_(stats_, "read_misses"),
-      ctrMshrMerges_(stats_, "mshr_merges"),
-      ctrMshrStalls_(stats_, "mshr_stalls"),
-      ctrEvictions_(stats_, "evictions"),
-      ctrSelCandidates_(stats_, "sel_candidates"),
-      ctrSelInputFull_(stats_, "sel_input_full"),
-      ctrSelAccepted_(stats_, "sel_accepted"),
-      ctrSelConflicts_(stats_, "sel_conflicts")
+      fillPool_(instanceBase_, "cache.fills")
 {
     if (!isPow2(config.lineSize))
         fatal("cache '", config.name, "': lineSize must be a power of two");
@@ -114,7 +95,7 @@ Cache::lanePush(uint32_t lane, const CoreReq& req)
 {
     lanes_.at(lane).push(req);
     ++pendingLaneReqs_;
-    ++(req.write ? ctrCoreWrites_ : ctrCoreReads_);
+    ctrs_.add(req.write ? Ctr::CoreWrites : Ctr::CoreReads);
 }
 
 void
@@ -163,7 +144,7 @@ Cache::install(Bank& bank, Addr addr, Cycle now)
             if (w.lastUsed < victim->lastUsed)
                 victim = &w;
         }
-        ++ctrEvictions_;
+        ctrs_.add(Ctr::Evictions);
     }
     victim->valid = true;
     victim->tag = tag;
@@ -201,7 +182,7 @@ Cache::drainPipes(Cycle now)
             for (const PortReq& p : op->ports) {
                 if (rspCallback_)
                     rspCallback_(CoreRsp{p.reqId, p.lane, op->write, p.tag});
-                ++ctrCoreRsps_;
+                ctrs_.add(Ctr::CoreRsps);
             }
         }
     }
@@ -213,7 +194,7 @@ Cache::drainMemQueue()
     while (!memQueue_.empty() && memSink_ && memSink_->reqReady()) {
         memSink_->reqPush(memQueue_.front());
         memQueue_.pop();
-        ++ctrMemReqs_;
+        ctrs_.add(Ctr::MemReqs);
     }
 }
 
@@ -239,7 +220,7 @@ Cache::schedule(Cycle now)
             op.ports = std::move(entry.ports);
             bank.pipe.enqueue(std::move(op), now);
             ++pipeWork_;
-            ++ctrMshrReplays_;
+            ctrs_.add(Ctr::MshrReplays);
             continue;
         }
         // Priority 2: install an arrived fill and stage its replays.
@@ -259,7 +240,7 @@ Cache::schedule(Cycle now)
                     ++it;
                 }
             }
-            ++ctrFills_;
+            ctrs_.add(Ctr::Fills);
             continue;
         }
         // Priority 3: a core request from the bank input FIFO.
@@ -269,16 +250,16 @@ Cache::schedule(Cycle now)
         if (req.write) {
             // Write-through: needs a memory-queue slot (early-full check).
             if (memq_free == 0) {
-                ++ctrMemqStalls_;
+                ctrs_.add(Ctr::MemqStalls);
                 continue;
             }
             --memq_free;
             ++pipePromisedMemReqs_;
             if (auto way = probe(bank, req.lineAddr)) {
                 bank.sets[setOf(req.lineAddr)][*way].lastUsed = now;
-                ++ctrWriteHits_;
+                ctrs_.add(Ctr::WriteHits);
             } else {
-                ++ctrWriteMisses_;
+                ctrs_.add(Ctr::WriteMisses);
             }
             PipeOp op;
             op.ports = req.ports;
@@ -298,7 +279,7 @@ Cache::schedule(Cycle now)
         // Read.
         if (auto way = probe(bank, req.lineAddr)) {
             bank.sets[setOf(req.lineAddr)][*way].lastUsed = now;
-            ++ctrReadHits_;
+            ctrs_.add(Ctr::ReadHits);
             PipeOp op;
             op.ports = req.ports;
             bank.pipe.enqueue(std::move(op), now);
@@ -310,24 +291,24 @@ Cache::schedule(Cycle now)
         // Read miss: merge into a pending MSHR entry if one exists.
         if (MshrEntry* entry = mshrFind(bank, req.lineAddr)) {
             entry->ports.append(req.ports.begin(), req.ports.end());
-            ++ctrMshrMerges_;
-            ++ctrReadMisses_;
+            ctrs_.add(Ctr::MshrMerges);
+            ctrs_.add(Ctr::ReadMisses);
             bank.input.pop();
             --bankWork_;
             continue;
         }
         // New miss: needs an MSHR entry and a memory-queue slot.
         if (!mshrHasSpace(bank)) {
-            ++ctrMshrStalls_;
+            ctrs_.add(Ctr::MshrStalls);
             continue;
         }
         if (memq_free == 0) {
-            ++ctrMemqStalls_;
+            ctrs_.add(Ctr::MemqStalls);
             continue;
         }
         --memq_free;
         ++pipePromisedMemReqs_;
-        ++ctrReadMisses_;
+        ctrs_.add(Ctr::ReadMisses);
         MshrEntry entry;
         entry.lineAddr = req.lineAddr;
         entry.ports = req.ports;
@@ -367,9 +348,9 @@ Cache::selectBanks(Cycle now)
         }
         if (candidates == 0)
             continue;
-        ctrSelCandidates_ += candidates;
+        ctrs_.add(Ctr::SelCandidates, candidates);
         if (bank.input.full()) {
-            ctrSelInputFull_ += candidates;
+            ctrs_.add(Ctr::SelInputFull, candidates);
             continue;
         }
         // Take the first candidate's line; coalesce same-line, same-type
@@ -398,8 +379,8 @@ Cache::selectBanks(Cycle now)
         }
         bank.input.push(std::move(breq));
         ++bankWork_;
-        ctrSelAccepted_ += taken;
-        ctrSelConflicts_ += candidates - taken;
+        ctrs_.add(Ctr::SelAccepted, taken);
+        ctrs_.add(Ctr::SelConflicts, candidates - taken);
     }
 }
 
@@ -460,16 +441,14 @@ Cache::flushAll()
                 w.valid = false;
         }
     }
-    ++stats_.counter("flushes");
+    ctrs_.add(Ctr::Flushes);
 }
 
 double
 Cache::bankUtilization() const
 {
-    uint64_t accepted = stats_.get("sel_accepted");
-    uint64_t conflicts = stats_.get("sel_conflicts");
-    uint64_t total = accepted + conflicts;
-    return total == 0 ? 1.0 : static_cast<double>(accepted) / total;
+    return mem::bankUtilization(ctrs_[Ctr::SelAccepted],
+                                ctrs_[Ctr::SelConflicts]);
 }
 
 } // namespace vortex::mem

@@ -58,6 +58,15 @@ struct CacheConfig
     uint32_t pipelineLatency = 3; ///< schedule->response latency (cycles)
 };
 
+/** Bank utilization in [0,1] per Fig. 19: the fraction of issued lane
+ *  requests that did not experience a bank conflict (1 with no traffic). */
+inline double
+bankUtilization(uint64_t accepted, uint64_t conflicts)
+{
+    uint64_t total = accepted + conflicts;
+    return total == 0 ? 1.0 : static_cast<double>(accepted) / total;
+}
+
 /**
  * The non-blocking banked cache. One instance per L1D/L1I/L2/L3; levels are
  * composed via CacheMemPort adapters.
@@ -65,6 +74,22 @@ struct CacheConfig
 class Cache
 {
   public:
+    /** The cache's event counters (names in kCtrNames). */
+    enum class Ctr : uint8_t
+    {
+        CoreReads, CoreWrites, CoreRsps, MemReqs, MshrReplays, Fills,
+        MemqStalls, WriteHits, WriteMisses, ReadHits, ReadMisses, MshrMerges,
+        MshrStalls, Evictions, SelCandidates, SelInputFull, SelAccepted,
+        SelConflicts, Flushes, Count
+    };
+    /** Counter names, indexed by Ctr. */
+    static constexpr const char* kCtrNames[] = {
+        "core_reads", "core_writes", "core_rsps", "mem_reqs", "mshr_replays",
+        "fills", "memq_stalls", "write_hits", "write_misses", "read_hits",
+        "read_misses", "mshr_merges", "mshr_stalls", "evictions",
+        "sel_candidates", "sel_input_full", "sel_accepted", "sel_conflicts",
+        "flushes"};
+
     explicit Cache(const CacheConfig& config);
 
     //
@@ -94,11 +119,9 @@ class Cache
     void flushAll();
 
     const CacheConfig& config() const { return config_; }
-    StatGroup& stats() { return stats_; }
-    const StatGroup& stats() const { return stats_; }
+    const CounterBlock<Ctr>& counters() const { return ctrs_; }
 
-    /** Bank utilization in [0,1] per Fig. 19: the fraction of issued lane
-     *  requests that did not experience a bank conflict. */
+    /** This cache's bankUtilization(accepted, conflicts). */
     double bankUtilization() const;
 
   private:
@@ -215,31 +238,7 @@ class Cache
     uint64_t nextWriteReqId_ = 1;    ///< write (untracked) id counter
     SlotPool<PendingFill> fillPool_; ///< in-flight read fills by reqId
 
-    StatGroup stats_;
-
-    //
-    // Hot-path counter handles (see CounterRef in common/stats.h):
-    // resolved lazily on first bump so the flattened key order stays
-    // byte-identical to the string-keyed paths they replace.
-    //
-    CounterRef ctrCoreReads_;
-    CounterRef ctrCoreWrites_;
-    CounterRef ctrCoreRsps_;
-    CounterRef ctrMemReqs_;
-    CounterRef ctrMshrReplays_;
-    CounterRef ctrFills_;
-    CounterRef ctrMemqStalls_;
-    CounterRef ctrWriteHits_;
-    CounterRef ctrWriteMisses_;
-    CounterRef ctrReadHits_;
-    CounterRef ctrReadMisses_;
-    CounterRef ctrMshrMerges_;
-    CounterRef ctrMshrStalls_;
-    CounterRef ctrEvictions_;
-    CounterRef ctrSelCandidates_;
-    CounterRef ctrSelInputFull_;
-    CounterRef ctrSelAccepted_;
-    CounterRef ctrSelConflicts_;
+    CounterBlock<Ctr> ctrs_;
 };
 
 /**

@@ -45,8 +45,8 @@ MemSim::tick(Cycle now)
         if (channelFree_[ch] > now)
             break;
         channelFree_[ch] = now + lineCycles_;
-        ++(req.write ? ctrWrites_ : ctrReads_);
-        ctrBytes_ += config_.lineSize;
+        ctrs_.add(req.write ? Ctr::Writes : Ctr::Reads);
+        ctrs_.add(Ctr::Bytes, config_.lineSize);
         if (!req.write) {
             inflight_.push_back({MemRsp{req.reqId, req.tag},
                                  now + config_.latency + lineCycles_});
@@ -62,7 +62,7 @@ MemSim::tick(Cycle now)
             break;
         if (rspCallback_)
             rspCallback_(f.rsp);
-        ++ctrResponses_;
+        ctrs_.add(Ctr::Responses);
         ++delivered;
     }
     if (delivered)

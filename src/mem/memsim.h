@@ -36,6 +36,15 @@ struct MemSimConfig
 class MemSim : public MemSink
 {
   public:
+    /** The memory's event counters (names in kCtrNames). */
+    enum class Ctr : uint8_t
+    {
+        Reads, Writes, Bytes, Responses, Count
+    };
+    /** Counter names, indexed by Ctr. */
+    static constexpr const char* kCtrNames[] = {
+        "reads", "writes", "bytes", "responses"};
+
     explicit MemSim(const MemSimConfig& config);
 
     // MemSink
@@ -54,8 +63,7 @@ class MemSim : public MemSink
     bool idle() const { return input_.empty() && inflight_.empty(); }
 
     const MemSimConfig& config() const { return config_; }
-    StatGroup& stats() { return stats_; }
-    const StatGroup& stats() const { return stats_; }
+    const CounterBlock<Ctr>& counters() const { return ctrs_; }
 
   private:
     uint32_t channelOf(Addr lineAddr) const;
@@ -73,13 +81,7 @@ class MemSim : public MemSink
     std::vector<Inflight> inflight_;
 
     std::function<void(const MemRsp&)> rspCallback_;
-    StatGroup stats_{"memsim"};
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrReads_{stats_, "reads"};
-    CounterRef ctrWrites_{stats_, "writes"};
-    CounterRef ctrBytes_{stats_, "bytes"};
-    CounterRef ctrResponses_{stats_, "responses"};
+    CounterBlock<Ctr> ctrs_;
 };
 
 } // namespace vortex::mem

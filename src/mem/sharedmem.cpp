@@ -27,7 +27,7 @@ SharedMem::lanePush(uint32_t lane, const CoreReq& req)
 {
     lanes_.at(lane).push(req);
     ++pendingLaneReqs_;
-    ++(req.write ? ctrWrites_ : ctrReads_);
+    ctrs_.add(req.write ? Ctr::Writes : Ctr::Reads);
 }
 
 void
@@ -49,14 +49,14 @@ SharedMem::tick(Cycle now)
             continue;
         const CoreReq& req = lane.front();
         uint32_t b = bankOf(req.addr);
-        ++ctrCandidates_;
+        ctrs_.add(Ctr::Candidates);
         if (bankBusy_[b]) {
-            ++ctrBankConflicts_;
+            ctrs_.add(Ctr::BankConflicts);
             continue;
         }
         bankBusy_[b] = 1;
         pipe_.enqueue(CoreRsp{req.reqId, req.lane, req.write, req.tag}, now);
-        ++ctrAccesses_;
+        ctrs_.add(Ctr::Accesses);
         lane.pop();
         --pendingLaneReqs_;
     }

@@ -32,6 +32,15 @@ struct SharedMemConfig
 class SharedMem
 {
   public:
+    /** The shared memory's event counters (names in kCtrNames). */
+    enum class Ctr : uint8_t
+    {
+        Reads, Writes, Candidates, BankConflicts, Accesses, Count
+    };
+    /** Counter names, indexed by Ctr. */
+    static constexpr const char* kCtrNames[] = {
+        "reads", "writes", "candidates", "bank_conflicts", "accesses"};
+
     explicit SharedMem(const SharedMemConfig& config);
 
     bool laneReady(uint32_t lane) const { return !lanes_.at(lane).full(); }
@@ -44,8 +53,7 @@ class SharedMem
     void tick(Cycle now);
     bool idle() const;
 
-    StatGroup& stats() { return stats_; }
-    const StatGroup& stats() const { return stats_; }
+    const CounterBlock<Ctr>& counters() const { return ctrs_; }
 
   private:
     uint32_t bankOf(Addr addr) const
@@ -59,14 +67,7 @@ class SharedMem
     std::function<void(const CoreRsp&)> rspCallback_;
     std::vector<uint8_t> bankBusy_; ///< per-tick arbiter scratch (no alloc)
     size_t pendingLaneReqs_ = 0; ///< queued lane requests (tick early-out)
-    StatGroup stats_{"sharedmem"};
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrReads_{stats_, "reads"};
-    CounterRef ctrWrites_{stats_, "writes"};
-    CounterRef ctrCandidates_{stats_, "candidates"};
-    CounterRef ctrBankConflicts_{stats_, "bank_conflicts"};
-    CounterRef ctrAccesses_{stats_, "accesses"};
+    CounterBlock<Ctr> ctrs_;
 };
 
 } // namespace vortex::mem

@@ -22,6 +22,7 @@
 #include "common/outcome.h"
 #include "core/processor.h"
 #include "kernels/kernels.h"
+#include "mem/cache.h"
 #include "runtime/device.h"
 #include "sweep/cache.h"
 #include "sweep/report.h"
@@ -189,10 +190,8 @@ runLongestFirst(const std::vector<double>& costs, uint32_t jobs,
 double
 RunRecord::dcacheBankUtilization() const
 {
-    uint64_t accepted = stats.get("dcache.sel_accepted");
-    uint64_t conflicts = stats.get("dcache.sel_conflicts");
-    uint64_t total = accepted + conflicts;
-    return total == 0 ? 1.0 : static_cast<double>(accepted) / total;
+    return mem::bankUtilization(stats.get("dcache.sel_accepted"),
+                                stats.get("dcache.sel_conflicts"));
 }
 
 uint32_t

@@ -81,8 +81,8 @@ struct RunRecord
     bool fromCache = false;    ///< restored from the result cache
     double hostSeconds = 0.0; ///< wall-clock of the simulation (0 on hit)
 
-    /** Derived D$ bank utilization: accepted / (accepted + conflicts)
-     *  over the summed per-core dcache selector counters (Fig. 19). */
+    /** Derived D$ bank utilization (Fig. 19): mem::bankUtilization over
+     *  the summed per-core dcache selector counters. */
     double dcacheBankUtilization() const;
 };
 

@@ -98,14 +98,14 @@ void
 TexUnit::push(const TexRequest& req)
 {
     input_.push(req);
-    ++ctrRequests_;
+    ctrs_.add(Ctr::Requests);
 }
 
 void
 TexUnit::push(TexRequest&& req)
 {
     input_.push(std::move(req));
-    ++ctrRequests_;
+    ctrs_.add(Ctr::Requests);
 }
 
 bool
@@ -144,13 +144,13 @@ TexUnit::startBatch(Cycle now)
         batch.rsp.colors[lane] = res.color.pack();
         addrs.insert(addrs.end(), res.texelAddrs.begin(),
                      res.texelAddrs.end());
-        ctrTexelFetches_ += res.texelAddrs.size();
+        ctrs_.add(Ctr::TexelFetches, res.texelAddrs.size());
     }
 
     // De-duplicate texel addresses repeated across threads (Fig. 5 step 2).
     std::sort(addrs.begin(), addrs.end());
     addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-    ctrUniqueTexels_ += addrs.size();
+    ctrs_.add(Ctr::UniqueTexels, addrs.size());
     batch.toIssue.assign(addrs.begin(), addrs.end());
     batch.issuedAll = batch.toIssue.empty();
 
@@ -166,7 +166,7 @@ TexUnit::tick(Cycle now)
     while (auto rsp = samplerPipe_.dequeueReady(now)) {
         if (rspCallback_)
             rspCallback_(*rsp);
-        ++ctrResponses_;
+        ctrs_.add(Ctr::Responses);
     }
 
     if (!batch_) {
@@ -208,7 +208,7 @@ TexUnit::tick(Cycle now)
     // Only when all texels returned does the sampler start (and the
     // scheduler may begin servicing the next batch).
     if (batch_->issuedAll && batch_->pending.empty()) {
-        ctrBatchCycles_ += now - batch_->startedAt;
+        ctrs_.add(Ctr::BatchCycles, now - batch_->startedAt);
         samplerPipe_.enqueue(std::move(batch_->rsp), now);
         batch_.reset();
     }

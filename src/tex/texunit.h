@@ -80,6 +80,16 @@ struct TexResponse
 class TexUnit
 {
   public:
+    /** The texture unit's event counters (names in kCtrNames). */
+    enum class Ctr : uint8_t
+    {
+        Requests, TexelFetches, UniqueTexels, Responses, BatchCycles, Count
+    };
+    /** Counter names, indexed by Ctr. */
+    static constexpr const char* kCtrNames[] = {
+        "requests", "texel_fetches", "unique_texels", "responses",
+        "batch_cycles"};
+
     TexUnit(const TexUnitConfig& config, const mem::Ram& ram,
             mem::Cache* dcache,
             std::function<uint64_t()> allocReqId);
@@ -107,8 +117,7 @@ class TexUnit
     void tick(Cycle now);
     bool idle() const;
 
-    StatGroup& stats() { return stats_; }
-    const StatGroup& stats() const { return stats_; }
+    const CounterBlock<Ctr>& counters() const { return ctrs_; }
 
   private:
     void startBatch(Cycle now);
@@ -137,14 +146,7 @@ class TexUnit
 
     LatencyPipe<TexResponse> samplerPipe_;
     std::function<void(const TexResponse&)> rspCallback_;
-    StatGroup stats_{"texunit"};
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrRequests_{stats_, "requests"};
-    CounterRef ctrTexelFetches_{stats_, "texel_fetches"};
-    CounterRef ctrUniqueTexels_{stats_, "unique_texels"};
-    CounterRef ctrResponses_{stats_, "responses"};
-    CounterRef ctrBatchCycles_{stats_, "batch_cycles"};
+    CounterBlock<Ctr> ctrs_;
 };
 
 } // namespace vortex::tex

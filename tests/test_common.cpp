@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for the common utilities: bit manipulation, elastic queues,
- * latency pipes, stats, and the deterministic RNG.
+ * latency pipes, stats and counter blocks, and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <utility>
 
 #include "common/bitmanip.h"
@@ -129,43 +128,77 @@ TEST(LatencyPipe, PipelinedOnePerCycle)
     EXPECT_EQ(*pipe.dequeueReady(4), 3);
 }
 
-TEST(Stats, CountersAndMerge)
+TEST(Stats, CountersMergeInInsertionOrder)
 {
-    StatGroup a("a"), b("b");
-    a.counter("x") += 5;
-    b.counter("x") += 2;
-    b.counter("y") = 1;
-    a.add(b);
-    EXPECT_EQ(a.get("x"), 7u);
-    EXPECT_EQ(a.get("y"), 1u);
-    EXPECT_EQ(a.get("missing"), 0u);
-}
-
-TEST(Stats, IterationAndPrintingFollowInsertionOrder)
-{
-    StatGroup g("g");
+    using Items = std::vector<std::pair<std::string, uint64_t>>;
+    StatGroup g;
     g.counter("zeta") = 1;
     g.counter("alpha") = 2;
-    g.counter("mid") = 3;
     g.counter("zeta") += 10; // re-touching must not move the counter
+    EXPECT_EQ(g.all(), (Items{{"zeta", 11}, {"alpha", 2}}));
+    EXPECT_EQ(g.get("missing"), 0u);
 
-    ASSERT_EQ(g.all().size(), 3u);
-    EXPECT_EQ(g.all()[0].first, "zeta");
-    EXPECT_EQ(g.all()[1].first, "alpha");
-    EXPECT_EQ(g.all()[2].first, "mid");
-    EXPECT_EQ(g.all()[0].second, 11u);
-
-    std::ostringstream os;
-    g.print(os);
-    EXPECT_EQ(os.str(), "g.zeta = 11\ng.alpha = 2\ng.mid = 3\n");
-
-    // add() appends counters new to the target in the source's order.
-    StatGroup h("h");
+    // add() sums shared counters and appends new ones in the source's
+    // order.
+    StatGroup h;
     h.counter("beta") = 7;
+    h.counter("alpha") = 1;
     h.add(g);
-    ASSERT_EQ(h.all().size(), 4u);
-    EXPECT_EQ(h.all()[0].first, "beta");
-    EXPECT_EQ(h.all()[1].first, "zeta");
+    EXPECT_EQ(h.all(), (Items{{"beta", 7}, {"alpha", 3}, {"zeta", 11}}));
+}
+
+namespace {
+
+/** A four-counter component schema for the CounterBlock tests. */
+struct TestUnit
+{
+    enum class Ctr : uint8_t { Alpha, Beta, Gamma, Delta, Count };
+    static constexpr const char* kCtrNames[] = {"alpha", "beta", "gamma",
+                                                "delta"};
+};
+using Ctr = TestUnit::Ctr;
+using Items = std::vector<std::pair<std::string, uint64_t>>;
+
+} // namespace
+
+TEST(CounterBlock, TouchOrderMatchesMergedStatGroups)
+{
+    // Two instances touch their counters in different orders; Gamma's
+    // first touch adds 0 and Delta is never touched.
+    CounterBlock<Ctr> a, b;
+    StatGroup ga, gb;
+    a.add(Ctr::Gamma, 0);
+    ga.counter("g.gamma") += 0;
+    a.add(Ctr::Alpha, 1);
+    ga.counter("g.alpha") += 1;
+    b.add(Ctr::Beta, 2);
+    gb.counter("g.beta") += 2;
+    b.add(Ctr::Alpha, 5);
+    gb.counter("g.alpha") += 5;
+    b.add(Ctr::Gamma);
+    gb.counter("g.gamma") += 1;
+    EXPECT_EQ(b[Ctr::Gamma], 1u);
+    EXPECT_EQ(b[Ctr::Delta], 0u);
+    StatGroup want;
+    want.add(ga);
+    want.add(gb);
+
+    CounterTable table;
+    size_t base = table.addGroup<TestUnit>("g");
+    table.add(base, a);
+    table.add(base, b);
+    StatGroup got;
+    table.addTo(got);
+    EXPECT_EQ(got.all(), want.all());
+    EXPECT_EQ(got.all(),
+              (Items{{"g.gamma", 1}, {"g.alpha", 6}, {"g.beta", 2}}));
+
+    // A refill starts from an empty touch order.
+    table.clear();
+    table.add(base, b);
+    StatGroup refilled;
+    table.addTo(refilled);
+    EXPECT_EQ(refilled.all(), gb.all());
 }
 
 TEST(Rng, DeterministicAndBounded)

@@ -16,19 +16,6 @@ using namespace vortex::isa;
 
 namespace {
 
-/** Kinds that carry a PC-relative immediate with its own range. */
-bool
-isBranchKind(InstrKind k)
-{
-    switch (k) {
-      case InstrKind::BEQ: case InstrKind::BNE: case InstrKind::BLT:
-      case InstrKind::BGE: case InstrKind::BLTU: case InstrKind::BGEU:
-        return true;
-      default:
-        return false;
-    }
-}
-
 Instr
 randomInstr(InstrKind kind, Xorshift& rng)
 {
@@ -99,14 +86,18 @@ expectRoundTrip(const Instr& a, const Instr& b)
 {
     EXPECT_EQ(a.kind, b.kind) << instrInfo(a.kind).mnemonic;
     const InstrInfo& info = instrInfo(a.kind);
-    if (a.dst().valid())
+    if (a.dst().valid()) {
         EXPECT_EQ(a.rd, b.rd) << info.mnemonic;
-    if (a.src1().valid())
+    }
+    if (a.src1().valid()) {
         EXPECT_EQ(a.rs1, b.rs1) << info.mnemonic;
-    if (a.src2().valid())
+    }
+    if (a.src2().valid()) {
         EXPECT_EQ(a.rs2, b.rs2) << info.mnemonic;
-    if (a.src3().valid())
+    }
+    if (a.src3().valid()) {
         EXPECT_EQ(a.rs3, b.rs3) << info.mnemonic;
+    }
     switch (info.format) {
       case InstrFormat::I:
       case InstrFormat::S:

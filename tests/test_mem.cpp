@@ -116,7 +116,7 @@ TEST(MemSim, WritesConsumeBandwidthNoResponse)
         mem.tick(now);
     EXPECT_EQ(rsps, 0);
     EXPECT_TRUE(mem.idle());
-    EXPECT_EQ(mem.stats().get("writes"), 2u);
+    EXPECT_EQ(mem.counters()[MemSim::Ctr::Writes], 2u);
 }
 
 TEST(MemSim, ChannelParallelism)
@@ -215,14 +215,14 @@ TEST(Cache, MissThenHitLatency)
     h.push(0, 0x1000, false, 1);
     h.drain();
     ASSERT_EQ(h.rsps.size(), 1u);
-    EXPECT_EQ(h.cache.stats().get("read_misses"), 1u);
+    EXPECT_EQ(h.cache.counters()[Cache::Ctr::ReadMisses], 1u);
     Cycle miss_time = h.now;
 
     // Same line again: a hit, much faster.
     Cycle start = h.now;
     h.push(0, 0x1004, false, 2);
     h.drain();
-    EXPECT_EQ(h.cache.stats().get("read_hits"), 1u);
+    EXPECT_EQ(h.cache.counters()[Cache::Ctr::ReadHits], 1u);
     EXPECT_LT(h.now - start, miss_time / 2);
 }
 
@@ -240,8 +240,8 @@ TEST(Cache, MshrMergesSameLine)
     h.push(3, 0x200C, false, 4);
     h.drain();
     EXPECT_EQ(h.rsps.size(), 4u);
-    EXPECT_EQ(h.mem.stats().get("reads"), 1u);
-    EXPECT_GE(h.cache.stats().get("mshr_merges"), 1u);
+    EXPECT_EQ(h.mem.counters()[MemSim::Ctr::Reads], 1u);
+    EXPECT_GE(h.cache.counters()[Cache::Ctr::MshrMerges], 1u);
 }
 
 TEST(Cache, VirtualPortCoalescing)
@@ -258,10 +258,10 @@ TEST(Cache, VirtualPortCoalescing)
         h.drain();
         EXPECT_EQ(h.rsps.size(), 4u);
         if (ports == 4) {
-            EXPECT_EQ(h.cache.stats().get("sel_conflicts"), 0u);
+            EXPECT_EQ(h.cache.counters()[Cache::Ctr::SelConflicts], 0u);
             EXPECT_EQ(h.cache.bankUtilization(), 1.0);
         } else {
-            EXPECT_GE(h.cache.stats().get("sel_conflicts"), 3u);
+            EXPECT_GE(h.cache.counters()[Cache::Ctr::SelConflicts], 3u);
             EXPECT_LT(h.cache.bankUtilization(), 1.0);
         }
     }
@@ -277,7 +277,7 @@ TEST(Cache, DifferentBanksNoConflict)
         h.push(lane, 0x4000 + 64 * lane, false, lane + 1);
     h.drain();
     EXPECT_EQ(h.rsps.size(), 4u);
-    EXPECT_EQ(h.cache.stats().get("sel_conflicts"), 0u);
+    EXPECT_EQ(h.cache.counters()[Cache::Ctr::SelConflicts], 0u);
 }
 
 TEST(Cache, WriteThroughTraffic)
@@ -287,13 +287,13 @@ TEST(Cache, WriteThroughTraffic)
     h.drain();
     ASSERT_EQ(h.rsps.size(), 1u);
     EXPECT_TRUE(h.rsps[0].write);
-    EXPECT_EQ(h.mem.stats().get("writes"), 1u);
-    EXPECT_EQ(h.mem.stats().get("reads"), 0u);
+    EXPECT_EQ(h.mem.counters()[MemSim::Ctr::Writes], 1u);
+    EXPECT_EQ(h.mem.counters()[MemSim::Ctr::Reads], 0u);
 
     // A read of that line still misses (no write-allocate).
     h.push(0, 0x5000, false, 2);
     h.drain();
-    EXPECT_EQ(h.mem.stats().get("reads"), 1u);
+    EXPECT_EQ(h.mem.counters()[MemSim::Ctr::Reads], 1u);
 }
 
 TEST(Cache, EvictionOnCapacity)
@@ -306,11 +306,11 @@ TEST(Cache, EvictionOnCapacity)
         h.push(0, static_cast<Addr>(0x10000 + i * 8192), false, i + 1);
         h.drain();
     }
-    EXPECT_EQ(h.cache.stats().get("evictions"), 1u);
+    EXPECT_EQ(h.cache.counters()[Cache::Ctr::Evictions], 1u);
     // Re-reading the evicted line misses again.
     h.push(0, 0x10000, false, 9);
     h.drain();
-    EXPECT_EQ(h.cache.stats().get("read_misses"), 4u);
+    EXPECT_EQ(h.cache.counters()[Cache::Ctr::ReadMisses], 4u);
 }
 
 TEST(Cache, FlushInvalidates)
@@ -320,11 +320,11 @@ TEST(Cache, FlushInvalidates)
     h.drain();
     h.push(0, 0x6000, false, 2);
     h.drain();
-    EXPECT_EQ(h.cache.stats().get("read_hits"), 1u);
+    EXPECT_EQ(h.cache.counters()[Cache::Ctr::ReadHits], 1u);
     h.cache.flushAll();
     h.push(0, 0x6000, false, 3);
     h.drain();
-    EXPECT_EQ(h.cache.stats().get("read_misses"), 2u);
+    EXPECT_EQ(h.cache.counters()[Cache::Ctr::ReadMisses], 2u);
 }
 
 TEST(Cache, RandomStressCompleteness)
@@ -395,7 +395,7 @@ TEST(SharedMem, ConflictFreeParallelAccess)
     while (!smem.idle() && now < 100)
         smem.tick(++now);
     EXPECT_EQ(rsps.size(), 4u);
-    EXPECT_EQ(smem.stats().get("bank_conflicts"), 0u);
+    EXPECT_EQ(smem.counters()[SharedMem::Ctr::BankConflicts], 0u);
 }
 
 TEST(SharedMem, BankConflictSerializes)
@@ -416,7 +416,7 @@ TEST(SharedMem, BankConflictSerializes)
     while (!smem.idle() && now < 100)
         smem.tick(++now);
     EXPECT_EQ(rsps.size(), 2u);
-    EXPECT_GE(smem.stats().get("bank_conflicts"), 1u);
+    EXPECT_GE(smem.counters()[SharedMem::Ctr::BankConflicts], 1u);
 }
 
 //

@@ -77,9 +77,9 @@ TEST(StatSampler, DisabledSamplerRecordsNothing)
     StatSampler sampler; // default: interval 0
     EXPECT_FALSE(sampler.enabled());
     EXPECT_FALSE(sampler.due(1000));
-    StatGroup g;
-    g.counter("x") = 5;
-    sampler.finalize(1234, g);
+    CounterTable t;
+    t.add(t.addSlot("x"), 5);
+    sampler.finalize(1234, t);
     EXPECT_TRUE(sampler.series().empty());
     EXPECT_EQ(sampler.series().interval, 0u);
 }
@@ -91,22 +91,23 @@ TEST(StatSampler, DeltaEncodingAndLateKeyBackfill)
     EXPECT_TRUE(sampler.due(200));
     EXPECT_FALSE(sampler.due(150));
 
-    StatGroup g;
-    g.counter("a") = 10;
-    sampler.sample(100, g);
-    g.counter("a") = 25;
-    sampler.sample(200, g);
+    // Slot "b" precedes "a" in the table, but rows follow first touch.
+    CounterTable t;
+    size_t b = t.addSlot("b");
+    size_t a = t.addSlot("a");
+    t.add(a, 10);
+    sampler.sample(100, t);
+    t.add(a, 15);
+    sampler.sample(200, t);
     // "b" first appears in window 3: its row must be backfilled with
     // zeros for windows 1-2 so the matrix stays rectangular.
-    g.counter("a") = 25;
-    g.counter("b") = 7;
-    sampler.sample(300, g);
+    t.add(b, 7);
+    sampler.sample(300, t);
     // End-of-run remainder window at cycle 342.
-    g.counter("a") = 30;
-    g.counter("b") = 7;
-    sampler.finalize(342, g);
+    t.add(a, 5);
+    sampler.finalize(342, t);
     // finalize on an already-sampled cycle is a no-op.
-    sampler.finalize(342, g);
+    sampler.finalize(342, t);
 
     const TimeSeries& ts = sampler.series();
     ASSERT_EQ(ts.numSamples(), 4u);

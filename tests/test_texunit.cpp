@@ -161,8 +161,8 @@ TEST_F(TexUnitTest, DeduplicatesRepeatedTexels)
     unit_.push(makeReq(2, {{0.5f, 0.5f}, {0.5f, 0.5f}, {0.5f, 0.5f},
                            {0.5f, 0.5f}}));
     runUntilDone();
-    EXPECT_EQ(unit_.stats().get("texel_fetches"), 16u);
-    EXPECT_EQ(unit_.stats().get("unique_texels"), 4u);
+    EXPECT_EQ(unit_.counters()[TexUnit::Ctr::TexelFetches], 16u);
+    EXPECT_EQ(unit_.counters()[TexUnit::Ctr::UniqueTexels], 4u);
 }
 
 TEST_F(TexUnitTest, BatchesSerializeAndBothComplete)
@@ -191,7 +191,7 @@ TEST_F(TexUnitTest, PointFilterSingleTexelPerLane)
     unit_.stageState(0).filter = Filter::Point;
     unit_.push(makeReq(6, {{0.1f, 0.1f}, {0.9f, 0.9f}}));
     runUntilDone();
-    EXPECT_EQ(unit_.stats().get("texel_fetches"), 2u);
+    EXPECT_EQ(unit_.counters()[TexUnit::Ctr::TexelFetches], 2u);
     ASSERT_EQ(rsps_.size(), 1u);
     const SamplerState& st = unit_.stageState(0);
     EXPECT_EQ(rsps_[0].colors[0],
